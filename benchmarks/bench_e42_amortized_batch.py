@@ -17,20 +17,46 @@ The table reports the precompute/plan build cost separately from the
 per-instance explain cost, so the amortization structure (fixed cost
 once, marginal cost per row) is visible rather than folded into one
 number.
+
+``test_e42_tree_predict`` times the model queries those explainers pay:
+GBM 25×d3 and RF 20×d6 predicting 4,501 rows (one sampling-SHAP or LIME
+explain's worth) through the stacked level-synchronous descent, against
+the per-row list-walk oracle in ``tests/oracles/tree_walk.py``. Outputs
+must be bitwise-equal; the slower family's speedup is the headline. It
+records its own summary entry (``E42_tree_predict``), so the guarded
+``E42_amortized_batch`` wall time keeps measuring the same work.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
 
 from repro import obs
+from repro.models import RandomForestClassifier
 from repro.shapley import SamplingShapleyExplainer, TreeShapExplainer
 
 from conftest import emit, fmt_row
 
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.oracles.tree_walk import walk_forest_proba, walk_gbm_raw  # noqa: E402
+
 N_PERMUTATIONS = 100
 BATCH_SAMPLING = 32
 BATCH_TREE = 256
+PREDICT_ROWS = 4501
+PREDICT_REPEATS = 5
+
+
+def _min_wall(fn, X, repeats):
+    """(fastest wall seconds over ``repeats`` calls, last output)."""
+    best = float("inf")
+    for __ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn(X)
+        best = min(best, time.perf_counter() - t0)
+    return best, out
 
 
 def test_e42_amortized_batch(loan_setup):
@@ -141,3 +167,38 @@ def test_e42_amortized_batch(loan_setup):
     assert plan_reuses == BATCH_SAMPLING - 1
     assert sampling_speedup >= 5.0
     assert tree_speedup >= 10.0
+
+
+def test_e42_tree_predict(loan_setup):
+    data, __, gbm = loan_setup
+    forest = RandomForestClassifier(n_estimators=20, max_depth=6, seed=0)
+    forest.fit(data.X, data.y)
+    X = np.resize(data.X, (PREDICT_ROWS, data.X.shape[1]))
+    predict = {}
+    for name, fast, oracle in (
+        ("gbm", gbm.decision_function, lambda Q: walk_gbm_raw(gbm, Q)),
+        ("rf", forest.predict_proba, lambda Q: walk_forest_proba(forest, Q)),
+    ):
+        fast_s, fast_out = _min_wall(fast, X, PREDICT_REPEATS)
+        oracle_s, oracle_out = _min_wall(oracle, X, 1)
+        # A pure perf change: the stacked descent returns the walk's bits.
+        assert np.array_equal(fast_out, oracle_out)
+        predict[name] = {
+            "us_per_row": fast_s / PREDICT_ROWS * 1e6,
+            "oracle_us_per_row": oracle_s / PREDICT_ROWS * 1e6,
+            "speedup": oracle_s / fast_s,
+        }
+    tree_predict_speedup = min(p["speedup"] for p in predict.values())
+
+    rows = [fmt_row("tree_predict", "fast us/row", "walk us/row", "speedup")]
+    rows += [
+        fmt_row(name, p["us_per_row"], p["oracle_us_per_row"], p["speedup"])
+        for name, p in predict.items()
+    ]
+    emit(
+        "E42_tree_predict",
+        rows,
+        data={"rows": PREDICT_ROWS, **predict},
+        summary={"tree_predict_speedup": round(tree_predict_speedup, 3)},
+    )
+    assert tree_predict_speedup >= 3.0

@@ -29,9 +29,10 @@ E45 (indexed provenance queries).
 Beyond wall-time ratios against the baseline, the guard also enforces
 **absolute speedup floors** (``FLOORS``) on headline ratios the
 benchmarks publish into their summary entries: E42's amortized batch
-paths must stay ≥3× their per-row loops regardless of what the baseline
-recorded — an eroding speedup is a regression even when wall time drifts
-slowly enough to duck the relative check.
+paths and stacked tree predict must stay ≥3× their per-row loops
+regardless of what the baseline recorded — an eroding speedup is a
+regression even when wall time drifts slowly enough to duck the
+relative check.
 
 Exit status 0 when clean, 1 with a listing otherwise. Enforced in tier-1
 via ``tests/test_obs_lint_and_bench.py``, alongside ``check_no_print.py``.
@@ -82,6 +83,9 @@ GUARDED_EXPERIMENTS = tuple(TOLERANCES)
 # experiment (or the key) was not freshly run.
 FLOORS: dict = {
     "E42_amortized_batch": {"sampling_speedup": 3.0, "tree_speedup": 3.0},
+    # Stacked tree predict vs the per-row list-walk oracle (GBM and RF at
+    # 4,501 rows; the slower family's ratio, in practice ~40x).
+    "E42_tree_predict": {"tree_predict_speedup": 3.0},
     # The serve layer's headline guarantees: hot-key p95 must stay ≥5×
     # better with coalescing+cache than without, and every request at
     # 4× overload must resolve (1.0 = zero hung requests).

@@ -59,11 +59,12 @@ class LeafInfluence:
         self._stage_h: list[np.ndarray] = []
         self._stage_leaves: list[np.ndarray] = []
         self._stage_sums: list[dict[int, tuple[float, float]]] = []
-        for tree in self.model.estimators_:
+        stage_leaves = self.model.apply(self.X_train)
+        for stage, tree in enumerate(self.model.estimators_):
             p = sigmoid(raw)
             g = t - p
             h = np.maximum(p * (1.0 - p), 1e-12)
-            leaves = tree.tree_.apply(self.X_train)
+            leaves = stage_leaves[:, stage]
             sums: dict[int, tuple[float, float]] = {}
             for leaf in np.unique(leaves):
                 mask = leaves == leaf
@@ -84,8 +85,7 @@ class LeafInfluence:
         lam = self.model.leaf_l2
         lr = self.model.learning_rate
         values = np.zeros(self.X_train.shape[0])
-        for stage, tree in enumerate(self.model.estimators_):
-            x_leaf = int(tree.tree_.apply(x[None, :])[0])
+        for stage, x_leaf in enumerate(self.model.apply(x[None, :])[0].tolist()):
             sum_g, sum_h = self._stage_sums[stage][x_leaf]
             current = sum_g / (sum_h + lam)
             shared = self._stage_leaves[stage] == x_leaf

@@ -161,25 +161,13 @@ def load_explanation(text: str):
 
 
 def _tree_to_dict(structure: TreeStructure) -> dict:
-    return {
-        "feature": list(structure.feature),
-        "threshold": list(structure.threshold),
-        "children_left": list(structure.children_left),
-        "children_right": list(structure.children_right),
-        "value": [v.tolist() for v in structure.value],
-        "n_node_samples": list(structure.n_node_samples),
-    }
+    payload = structure.to_dict()
+    payload["value"] = payload["value"].tolist()
+    return payload
 
 
 def _tree_from_dict(payload: dict) -> TreeStructure:
-    structure = TreeStructure()
-    structure.feature = [int(v) for v in payload["feature"]]
-    structure.threshold = [float(v) for v in payload["threshold"]]
-    structure.children_left = [int(v) for v in payload["children_left"]]
-    structure.children_right = [int(v) for v in payload["children_right"]]
-    structure.value = [np.asarray(v, dtype=float) for v in payload["value"]]
-    structure.n_node_samples = [float(v) for v in payload["n_node_samples"]]
-    return structure
+    return TreeStructure.from_dict(payload)
 
 
 def dump_model(model) -> str:

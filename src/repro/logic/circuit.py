@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models.tree import TreeStructure
+from ..models.tree import LEAF, TreeStructure
 
 __all__ = [
     "Literal",
@@ -126,23 +126,24 @@ def compile_tree(
     """
     all_vars = frozenset(range(n_features))
     paths: list[list[Literal]] = []
+    nodes = tree.tolist()
 
     def walk(node: int, literals: list[Literal]) -> None:
-        if tree.is_leaf(node):
-            value = tree.value[node]
-            predicted = int(np.argmax(value)) if value.shape[0] > 1 else int(value[0] >= 0.5)
+        feature = nodes.feature[node]
+        if feature == LEAF:
+            value = nodes.value[node]
+            predicted = int(np.argmax(value)) if len(value) > 1 else int(value[0] >= 0.5)
             if predicted == positive_class:
                 paths.append(list(literals))
             return
-        feature = tree.feature[node]
-        threshold = tree.threshold[node]
+        threshold = nodes.threshold[node]
         if not 0.0 < threshold < 1.0:
             raise ValueError(
                 f"node {node} splits feature {feature} at {threshold}; "
                 "compile_tree requires binarized features"
             )
-        walk(tree.children_left[node], literals + [Literal(feature, False)])
-        walk(tree.children_right[node], literals + [Literal(feature, True)])
+        walk(nodes.left[node], literals + [Literal(feature, False)])
+        walk(nodes.right[node], literals + [Literal(feature, True)])
 
     walk(0, [])
     if not paths:

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from ..core.explanation import Predicate, RuleExplanation
-from ..models.tree import DecisionTreeClassifier
+from ..models.tree import LEAF, DecisionTreeClassifier
 
 __all__ = [
     "possible_classes",
@@ -39,22 +39,22 @@ def possible_classes(
     """Classes the tree can output when only ``fixed`` features keep x's
     values and all others range freely."""
     x = np.asarray(x, dtype=float).ravel()
-    tree = model.tree_
+    nodes = model.tree_.tolist()
     out: set[int] = set()
 
     def walk(node: int) -> None:
-        if tree.is_leaf(node):
-            out.add(int(np.argmax(tree.value[node])))
+        feature = nodes.feature[node]
+        if feature == LEAF:
+            out.add(int(np.argmax(nodes.value[node])))
             return
-        feature = tree.feature[node]
         if feature in fixed:
-            if x[feature] <= tree.threshold[node]:
-                walk(tree.children_left[node])
+            if x[feature] <= nodes.threshold[node]:
+                walk(nodes.left[node])
             else:
-                walk(tree.children_right[node])
+                walk(nodes.right[node])
         else:
-            walk(tree.children_left[node])
-            walk(tree.children_right[node])
+            walk(nodes.left[node])
+            walk(nodes.right[node])
 
     walk(0)
     return out

@@ -12,6 +12,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ..robust.errors import InputValidationError
+
 __all__ = ["BaseModel", "ClassifierMixin", "RegressorMixin", "DifferentiableModel"]
 
 
@@ -37,6 +39,24 @@ class BaseModel(ABC):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        return X
+
+    @staticmethod
+    def _check_width(X: np.ndarray, n_features: int | None) -> np.ndarray:
+        """:meth:`_check_X` plus the fitted-width and non-empty contract.
+
+        Raises :class:`InputValidationError` (a ``ValueError``) when ``X``
+        has no rows or a column count other than ``n_features`` (``None``
+        skips the width check).
+        """
+        X = BaseModel._check_X(X)
+        if n_features is not None and X.shape[1] != n_features:
+            raise InputValidationError(
+                f"X has {X.shape[1]} features, but the model was fitted "
+                f"on {n_features}"
+            )
+        if X.shape[0] == 0:
+            raise InputValidationError("X has no rows")
         return X
 
     @staticmethod

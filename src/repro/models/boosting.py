@@ -6,7 +6,9 @@ re-estimates leaf values with a single Newton step (as in standard GBM).
 The ensemble exposes its stages and leaf structure because both TreeSHAP
 and the tree-influence explainer traverse them, and tree influence
 additionally needs leaf values re-derivable from per-sample gradient and
-Hessian sums.
+Hessian sums. Prediction descends all stages at once through the stacked
+:class:`~repro.models.tree.TreeTable` and then adds the stage values one
+by one, in stage order, so the float result is that of a per-stage sum.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import numpy as np
 from ..persist.protocol import Serializable, register_serializable
 from .base import BaseModel, ClassifierMixin, RegressorMixin
 from .logistic import sigmoid
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, TreeEnsemble
 
 __all__ = ["GradientBoostingRegressor", "GradientBoostingClassifier"]
 
 
-class _BaseGBM(Serializable, BaseModel):
+class _BaseGBM(Serializable, TreeEnsemble, BaseModel):
     __persist_init__ = ("n_estimators", "learning_rate", "max_depth",
                         "min_samples_leaf", "subsample", "seed")
     __persist_state__ = ("init_raw_", "estimators_")
@@ -44,21 +46,32 @@ class _BaseGBM(Serializable, BaseModel):
         self.subsample = subsample
         self.seed = seed
 
+    def _stage_steps(self, X: np.ndarray) -> np.ndarray:
+        """``learning_rate * value`` of every stage, ``(n_stages, n_rows)``."""
+        return self.learning_rate * self._leaf_values(X)[..., 0]
+
     def _raw_predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted("estimators_")
-        X = self._check_X(X)
-        out = np.full(X.shape[0], self.init_raw_)
-        for tree in self.estimators_:
-            out += self.learning_rate * tree.predict(X)
+        steps = self._stage_steps(X)
+        out = np.full(steps.shape[1], self.init_raw_)
+        for step in steps:
+            out += step
         return out
 
     def staged_raw_predict(self, X: np.ndarray):
-        """Yield the raw prediction after each boosting stage."""
-        X = self._check_X(X)
-        out = np.full(X.shape[0], self.init_raw_)
-        for tree in self.estimators_:
-            out = out + self.learning_rate * tree.predict(X)
-            yield out
+        """Iterator over the raw prediction after each boosting stage.
+
+        ``X`` is validated (and every stage descended) at call time, so
+        a malformed input raises here rather than at the first ``next``.
+        """
+        steps = self._stage_steps(X)
+
+        def stages():
+            out = np.full(steps.shape[1], self.init_raw_)
+            for step in steps:
+                out = out + step
+                yield out
+
+        return stages()
 
 
 @register_serializable("models.GradientBoostingRegressor")
@@ -71,7 +84,7 @@ class GradientBoostingRegressor(RegressorMixin, _BaseGBM):
         rng = np.random.default_rng(self.seed)
         self.init_raw_ = float(y.mean())
         raw = np.full(y.shape[0], self.init_raw_)
-        self.estimators_: list[DecisionTreeRegressor] = []
+        estimators: list[DecisionTreeRegressor] = []
         n = y.shape[0]
         for _ in range(self.n_estimators):
             residual = y - raw
@@ -84,7 +97,8 @@ class GradientBoostingRegressor(RegressorMixin, _BaseGBM):
             )
             tree.fit(X[idx], residual[idx])
             raw += self.learning_rate * tree.predict(X)
-            self.estimators_.append(tree)
+            estimators.append(tree)
+        self.estimators_ = estimators
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -129,7 +143,7 @@ class GradientBoostingClassifier(ClassifierMixin, _BaseGBM):
         p0 = np.clip(t.mean(), 1e-6, 1 - 1e-6)
         self.init_raw_ = float(np.log(p0 / (1 - p0)))
         raw = np.full(t.shape[0], self.init_raw_)
-        self.estimators_: list[DecisionTreeRegressor] = []
+        estimators: list[DecisionTreeRegressor] = []
         n = t.shape[0]
         for _ in range(self.n_estimators):
             p = sigmoid(raw)
@@ -145,17 +159,21 @@ class GradientBoostingClassifier(ClassifierMixin, _BaseGBM):
             tree.fit(X[idx], g[idx])
             self._newton_leaf_values(tree, X[idx], g[idx], h[idx])
             raw += self.learning_rate * tree.predict(X)
-            self.estimators_.append(tree)
+            estimators.append(tree)
+        self.estimators_ = estimators
         return self
 
     def _newton_leaf_values(self, tree: DecisionTreeRegressor,
                             X: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
-        """Replace mean-of-gradients leaf values by Σg / (Σh + λ)."""
+        """Replace mean-of-gradients leaf values by Σg / (Σh + λ).
+
+        Runs before the stage joins the ensemble, so the stacked table
+        built from ``estimators_`` sees the Newton values.
+        """
         leaves = tree.tree_.apply(X)
         for leaf in np.unique(leaves):
             mask = leaves == leaf
-            value = g[mask].sum() / (h[mask].sum() + self.leaf_l2)
-            tree.tree_.value[leaf] = np.array([value])
+            tree.tree_.value[leaf, 0] = g[mask].sum() / (h[mask].sum() + self.leaf_l2)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Raw log-odds scores."""

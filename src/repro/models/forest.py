@@ -6,13 +6,13 @@ import numpy as np
 
 from ..persist.protocol import Serializable, register_serializable
 from .base import BaseModel, ClassifierMixin
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, TreeEnsemble
 
 __all__ = ["RandomForestClassifier"]
 
 
 @register_serializable("models.RandomForestClassifier")
-class RandomForestClassifier(Serializable, ClassifierMixin, BaseModel):
+class RandomForestClassifier(Serializable, TreeEnsemble, ClassifierMixin, BaseModel):
     """Ensemble of CART trees on bootstrap resamples.
 
     Parameters
@@ -55,7 +55,7 @@ class RandomForestClassifier(Serializable, ClassifierMixin, BaseModel):
         rng = np.random.default_rng(self.seed)
         n, d = X.shape
         max_features = self.max_features or max(1, int(np.ceil(np.sqrt(d))))
-        self.estimators_: list[DecisionTreeClassifier] = []
+        estimators: list[DecisionTreeClassifier] = []
         self._sample_indices: list[np.ndarray] = []
         for t in range(self.n_estimators):
             if self.bootstrap:
@@ -74,18 +74,22 @@ class RandomForestClassifier(Serializable, ClassifierMixin, BaseModel):
                 idx = rng.integers(0, n, size=n)
                 attempts += 1
             tree.fit(X[idx], y[idx])
-            self.estimators_.append(tree)
+            estimators.append(tree)
             self._sample_indices.append(idx)
+        self.estimators_ = estimators
         return self
 
+    def _value_columns(self, trees: list) -> tuple[list, int]:
+        # Align tree class order (a bootstrap sample can miss a class):
+        # tree column k lands in the ensemble column of its label, and a
+        # missing class reads 0. ``classes_`` is assigned before
+        # ``estimators_`` by fit and by both loaders.
+        columns = [np.searchsorted(self.classes_, tree.classes_) for tree in trees]
+        return columns, len(self.classes_)
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted("estimators_")
-        X = self._check_X(X)
-        proba = np.zeros((X.shape[0], len(self.classes_)))
-        for tree in self.estimators_:
-            tree_proba = tree.predict_proba(X)
-            # Align tree class order (a bootstrap sample can miss a class).
-            for k, label in enumerate(tree.classes_):
-                col = int(np.searchsorted(self.classes_, label))
-                proba[:, col] += tree_proba[:, k]
+        tree_proba = self._leaf_values(X)
+        proba = np.zeros(tree_proba.shape[1:])
+        for values in tree_proba:
+            proba += values
         return proba / len(self.estimators_)

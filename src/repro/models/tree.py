@@ -1,56 +1,136 @@
 """CART decision trees (classifier and regressor) built from scratch.
 
-The fitted tree is exported as flat parallel arrays (``feature``,
-``threshold``, ``children_left``, ``children_right``, ``value``,
-``n_node_samples``) — the representation TreeSHAP (:mod:`repro.shapley.tree`),
-the logic-based explainers (:mod:`repro.logic`) and the tree-influence
-method (:mod:`repro.influence.tree_influence`) all traverse.
+A fitted tree is frozen into flat numpy arrays (``feature``,
+``threshold``, ``children_left``, ``children_right``, ``n_node_samples``
+of shape ``(n_nodes,)`` and ``value`` of shape ``(n_nodes, k)``) — the
+representation TreeSHAP (:mod:`repro.shapley.tree`), the logic-based
+explainers (:mod:`repro.logic`) and the tree-influence method
+(:mod:`repro.influence.tree_influence`) all read. Recursive walkers read
+the cached :meth:`TreeStructure.tolist` view instead, so their per-node
+cost stays at plain list indexing.
 
-Splits are of the form ``x[feature] <= threshold`` going left. Numeric
-split search is vectorized: per candidate feature the node's rows are
+Splits are of the form ``x[feature] <= threshold`` going left, so a NaN
+feature value goes right. Prediction is a level-synchronous descent
+(:class:`TreeTable`): every row advances one level per step with a
+handful of vectorized gathers, and ensembles pad their trees into one
+table so a single descent serves every tree at once. Numeric split
+search is vectorized too: per candidate feature the node's rows are
 sorted once and all prefix splits are scored together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..persist.protocol import Serializable, register_serializable
 from .base import BaseModel, ClassifierMixin, RegressorMixin
 
-__all__ = ["TreeStructure", "DecisionTreeClassifier", "DecisionTreeRegressor"]
+__all__ = ["TreeStructure", "TreeTable", "TreeEnsemble", "NodeLists",
+           "DecisionTreeClassifier", "DecisionTreeRegressor", "LEAF"]
 
-_LEAF = -1
+LEAF = -1
 
 
-@register_serializable("models.TreeStructure")
-@dataclass
-class TreeStructure:
-    """Flat array representation of a fitted binary tree.
+class NodeLists(NamedTuple):
+    """Plain-list view of a tree for recursive Python walkers.
 
-    ``feature[n] == -1`` marks node ``n`` as a leaf. ``value`` holds the
-    node prediction: class-probability vectors for classifiers (shape
-    ``(n_nodes, n_classes)``), scalars for regressors (``(n_nodes, 1)``).
-    ``n_node_samples`` is the training "cover" used by path-dependent
-    TreeSHAP.
+    Cached and shared by every walker of the tree: read it, never
+    mutate it.
     """
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    children_left: list[int] = field(default_factory=list)
-    children_right: list[int] = field(default_factory=list)
-    value: list[np.ndarray] = field(default_factory=list)
-    n_node_samples: list[float] = field(default_factory=list)
+    feature: list
+    threshold: list
+    left: list
+    right: list
+    value: list
+    cover: list
+
+
+class TreeTable:
+    """One or more trees padded into a ``(n_trees, max_nodes)`` node table.
+
+    Node ids are flat (``tree * max_nodes + node``). Leaves and padding
+    slots are their own children, so :meth:`descend` runs a fixed
+    number of levels (the deepest tree's depth) without masking: a row
+    that reached its leaf early keeps stepping onto the same leaf. Each
+    level is the same ``x[feature] <= threshold`` comparison the
+    per-row walk makes, so NaN still routes right.
+
+    With ``n_outputs`` set, the table also stacks leaf values for
+    :meth:`leaf_values`: ``columns[t]`` places tree ``t``'s value
+    columns into the table's ``n_outputs`` columns (the forest's class
+    alignment); unset columns stay 0.
+    """
+
+    def __init__(self, trees: list["TreeStructure"],
+                 columns: list[np.ndarray] | None = None,
+                 n_outputs: int | None = None) -> None:
+        n_trees = len(trees)
+        width = max((tree.n_nodes for tree in trees), default=1)
+        ids = np.arange(n_trees * width).reshape(n_trees, width)
+        feature = np.zeros((n_trees, width), dtype=np.intp)
+        threshold = np.zeros((n_trees, width))
+        children = np.stack([ids, ids], axis=-1)
+        value = np.zeros((n_trees, width, n_outputs or 0))
+        for t, tree in enumerate(trees):
+            n = tree.n_nodes
+            split = tree.feature != LEAF
+            feature[t, :n] = np.where(split, tree.feature, 0)
+            threshold[t, :n] = tree.threshold
+            children[t, :n, 0] = np.where(split, tree.children_left + ids[t, 0], ids[t, :n])
+            children[t, :n, 1] = np.where(split, tree.children_right + ids[t, 0], ids[t, :n])
+            if n_outputs:
+                cols = slice(None) if columns is None else columns[t]
+                value[t, :n][:, cols] = tree.value
+        self.n_levels = max((tree.n_levels for tree in trees), default=0)
+        self.roots = ids[:, 0]
+        self._feature = feature.ravel()
+        self._threshold = threshold.ravel()
+        self._children = children.ravel()
+        self._value = value.reshape(n_trees * width, n_outputs or 0)
+
+    def descend(self, X: np.ndarray) -> np.ndarray:
+        """Flat leaf id reached in every tree, shape ``(n_trees, n_rows)``."""
+        X = np.ascontiguousarray(X, dtype=float)
+        n_rows, n_cols = X.shape
+        flat_x = X.ravel()
+        row_base = np.arange(n_rows) * n_cols
+        node = np.repeat(self.roots[:, None], n_rows, axis=1)
+        for _ in range(self.n_levels):
+            goes_right = ~(flat_x.take(row_base + self._feature.take(node))
+                           <= self._threshold.take(node))
+            node = self._children.take(2 * node + goes_right)
+        return node
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Per-tree leaf id (local to its tree), shape ``(n_trees, n_rows)``."""
+        return self.descend(X) - self.roots[:, None]
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Leaf value of every tree, shape ``(n_trees, n_rows, n_outputs)``."""
+        return self._value.take(self.descend(X), axis=0)
+
+
+class _TreeBuilder:
+    """Growable node lists while CART grows one tree; :meth:`build` ends it."""
+
+    def __init__(self) -> None:
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.children_left: list[int] = []
+        self.children_right: list[int] = []
+        self.value: list[np.ndarray] = []
+        self.n_node_samples: list[float] = []
 
     def add_node(self, value: np.ndarray, n_samples: float) -> int:
         """Append a leaf node and return its id."""
         node = len(self.feature)
-        self.feature.append(_LEAF)
+        self.feature.append(LEAF)
         self.threshold.append(0.0)
-        self.children_left.append(_LEAF)
-        self.children_right.append(_LEAF)
+        self.children_left.append(LEAF)
+        self.children_right.append(LEAF)
         self.value.append(np.atleast_1d(np.asarray(value, dtype=float)))
         self.n_node_samples.append(float(n_samples))
         return node
@@ -63,39 +143,94 @@ class TreeStructure:
         self.children_left[node] = left
         self.children_right[node] = right
 
+    def build(self) -> "TreeStructure":
+        return TreeStructure(
+            self.feature, self.threshold, self.children_left,
+            self.children_right, np.stack(self.value), self.n_node_samples,
+        )
+
+
+@register_serializable("models.TreeStructure")
+class TreeStructure:
+    """Frozen array representation of a fitted binary tree.
+
+    ``feature[n] == LEAF`` (-1) marks node ``n`` as a leaf, whose
+    children are then -1 too. ``value`` holds the node prediction:
+    class-probability vectors for classifiers (shape
+    ``(n_nodes, n_classes)``), scalars for regressors
+    (``(n_nodes, 1)``). ``n_node_samples`` is the training "cover" used
+    by path-dependent TreeSHAP. Nodes are numbered in preorder, so every
+    child id exceeds its parent's.
+
+    The structure arrays are read-only from construction. ``value``
+    stays writable until :meth:`freeze` — gradient boosting rewrites its
+    leaf values with a Newton step in between — which the first
+    :meth:`tolist` view and every ensemble table build call.
+    """
+
+    def __init__(self, feature, threshold, children_left, children_right,
+                 value, n_node_samples) -> None:
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.children_left = np.array(children_left, dtype=np.intp)
+        self.children_right = np.array(children_right, dtype=np.intp)
+        self.value = np.array(value, dtype=float, ndmin=2)
+        self.n_node_samples = np.array(n_node_samples, dtype=float)
+        for array in (self.feature, self.threshold, self.children_left,
+                      self.children_right, self.n_node_samples):
+            array.flags.writeable = False
+        self.n_levels = self.depth(0)
+        self._table = TreeTable([self])
+        self._lists: NodeLists | None = None
+
+    def freeze(self) -> "TreeStructure":
+        """Make ``value`` read-only too; returns ``self``."""
+        self.value.flags.writeable = False
+        return self
+
     @property
     def n_nodes(self) -> int:
-        return len(self.feature)
+        return self.feature.shape[0]
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for f in self.feature if f == _LEAF)
+        return int(np.count_nonzero(self.feature == LEAF))
 
     def is_leaf(self, node: int) -> bool:
-        return self.feature[node] == _LEAF
+        return bool(self.feature[node] == LEAF)
 
     def depth(self, node: int = 0) -> int:
         """Height of the subtree rooted at ``node`` (leaf = 0)."""
-        if self.is_leaf(node):
-            return 0
-        return 1 + max(
-            self.depth(self.children_left[node]),
-            self.depth(self.children_right[node]),
-        )
+        level = np.array([node])
+        height = 0
+        while True:
+            level = level[self.feature[level] != LEAF]
+            if level.size == 0:
+                return height
+            level = np.concatenate(
+                [self.children_left[level], self.children_right[level]]
+            )
+            height += 1
+
+    def tolist(self) -> NodeLists:
+        """The node arrays as plain lists (``value`` as a list of rows).
+
+        Recursive walkers read this instead of the arrays: list indexing
+        is several times cheaper per node than numpy scalar indexing.
+        Built on first use (freezing the tree) and cached.
+        """
+        if self._lists is None:
+            self.freeze()
+            self._lists = NodeLists(
+                self.feature.tolist(), self.threshold.tolist(),
+                self.children_left.tolist(), self.children_right.tolist(),
+                self.value.tolist(), self.n_node_samples.tolist(),
+            )
+        return self._lists
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id reached by each row of ``X``."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros(X.shape[0], dtype=int)
-        for i, x in enumerate(X):
-            node = 0
-            while not self.is_leaf(node):
-                if x[self.feature[node]] <= self.threshold[node]:
-                    node = self.children_left[node]
-                else:
-                    node = self.children_right[node]
-            out[i] = node
-        return out
+        return self._table.descend(np.atleast_2d(np.asarray(X, dtype=float)))[0]
 
     def decision_path(self, x: np.ndarray) -> list[tuple[int, int, float, bool]]:
         """Internal nodes on the root-to-leaf path of ``x``.
@@ -103,54 +238,82 @@ class TreeStructure:
         Each entry is ``(node, feature, threshold, went_left)``.
         """
         x = np.asarray(x, dtype=float).ravel()
+        nodes = self.tolist()
         path = []
         node = 0
-        while not self.is_leaf(node):
-            went_left = x[self.feature[node]] <= self.threshold[node]
-            path.append((node, self.feature[node], self.threshold[node], bool(went_left)))
-            node = self.children_left[node] if went_left else self.children_right[node]
+        while nodes.feature[node] != LEAF:
+            feature, threshold = nodes.feature[node], nodes.threshold[node]
+            went_left = bool(x[feature] <= threshold)
+            path.append((node, feature, threshold, went_left))
+            node = nodes.left[node] if went_left else nodes.right[node]
         return path
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
-        """Stacked leaf values for each row of ``X``."""
-        leaves = self.apply(X)
-        return np.stack([self.value[n] for n in leaves])
+        """Leaf value rows for each row of ``X``, shape ``(n_rows, k)``."""
+        return self.value[self.apply(X)]
 
     def used_features(self) -> set[int]:
         """Feature indices tested anywhere in the tree."""
-        return {f for f in self.feature if f != _LEAF}
+        return set(self.feature[self.feature != LEAF].tolist())
 
     def to_dict(self) -> dict:
-        """Persist payload: the six parallel arrays, values stacked 2-D.
-
-        Every node of one tree carries a value vector of the same width
-        (class probabilities or a scalar), so the per-node list stacks
-        losslessly into one ``(n_nodes, k)`` array.
-        """
-        if self.value:
-            value = np.stack([np.asarray(v, dtype=float) for v in self.value])
-        else:
-            value = np.zeros((0, 1))
+        """Persist payload: the six node arrays, ``value`` 2-D."""
         return {
-            "feature": [int(f) for f in self.feature],
-            "threshold": [float(t) for t in self.threshold],
-            "children_left": [int(c) for c in self.children_left],
-            "children_right": [int(c) for c in self.children_right],
-            "value": value,
-            "n_node_samples": [float(s) for s in self.n_node_samples],
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "children_left": self.children_left.tolist(),
+            "children_right": self.children_right.tolist(),
+            "value": self.value.copy(),
+            "n_node_samples": self.n_node_samples.tolist(),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TreeStructure":
-        value = np.atleast_2d(np.asarray(payload["value"], dtype=float))
+        n_nodes = len(payload["feature"])
+        value = np.array(payload["value"], dtype=float, ndmin=2)[:n_nodes]
         return cls(
-            feature=[int(f) for f in payload["feature"]],
-            threshold=[float(t) for t in payload["threshold"]],
-            children_left=[int(c) for c in payload["children_left"]],
-            children_right=[int(c) for c in payload["children_right"]],
-            value=[np.array(row, dtype=float) for row in value[: len(payload["feature"])]],
-            n_node_samples=[float(s) for s in payload["n_node_samples"]],
+            payload["feature"], payload["threshold"],
+            payload["children_left"], payload["children_right"],
+            value, payload["n_node_samples"],
         )
+
+
+class TreeEnsemble:
+    """``estimators_`` plus the stacked :class:`TreeTable` built from them.
+
+    Assigning ``estimators_`` — at the end of ``fit``, by the persist
+    loader, or by :func:`repro.io.load_model` — builds the table once;
+    every prediction then descends all trees together.
+    :meth:`_value_columns` lets a subclass align tree value columns.
+    """
+
+    @property
+    def estimators_(self) -> list:
+        return self._estimators
+
+    @estimators_.setter
+    def estimators_(self, trees) -> None:
+        self._estimators = list(trees)
+        columns, n_outputs = self._value_columns(self._estimators)
+        self._table = TreeTable(
+            [tree.tree_.freeze() for tree in self._estimators], columns, n_outputs
+        )
+
+    def _value_columns(self, trees: list) -> tuple[list | None, int]:
+        return None, 1
+
+    def _check_input(self, X: np.ndarray) -> np.ndarray:
+        self._check_fitted("estimators_")
+        n_features = self.estimators_[0].n_features_ if self.estimators_ else None
+        return self._check_width(X, n_features)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id of every row in every tree, shape ``(n_rows, n_trees)``."""
+        return self._table.apply(self._check_input(X)).T
+
+    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """``(n_trees, n_rows, n_outputs)`` leaf values, one descent."""
+        return self._table.leaf_values(self._check_input(X))
 
 
 class _BaseDecisionTree(BaseModel):
@@ -195,13 +358,13 @@ class _BaseDecisionTree(BaseModel):
             sample_weight = np.ones(n)
         sw = np.asarray(sample_weight, dtype=float)
         rng = np.random.default_rng(self.seed)
-        tree = TreeStructure()
-        self._build(tree, X, y, sw, np.arange(n), depth=0, rng=rng)
-        return tree
+        builder = _TreeBuilder()
+        self._build(builder, X, y, sw, np.arange(n), depth=0, rng=rng)
+        return builder.build()
 
     def _build(
         self,
-        tree: TreeStructure,
+        tree: _TreeBuilder,
         X: np.ndarray,
         y: np.ndarray,
         sw: np.ndarray,
@@ -335,7 +498,7 @@ class DecisionTreeClassifier(Serializable, ClassifierMixin, _BaseDecisionTree):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted("tree_")
-        return self.tree_.predict_value(self._check_X(X))
+        return self.tree_.predict_value(self._check_width(X, self.n_features_))
 
 
 @register_serializable("models.DecisionTreeRegressor")
@@ -383,4 +546,6 @@ class DecisionTreeRegressor(Serializable, RegressorMixin, _BaseDecisionTree):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted("tree_")
-        return self.tree_.predict_value(self._check_X(X)).ravel()
+        return self.tree_.predict_value(
+            self._check_width(X, self.n_features_)
+        ).ravel()

@@ -53,7 +53,8 @@ from ..obs import instrument_explainer
 from ..obs.trace import current_span
 from ..models.boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from ..models.forest import RandomForestClassifier
-from ..models.tree import DecisionTreeClassifier, DecisionTreeRegressor, TreeStructure
+from ..models.tree import (LEAF, DecisionTreeClassifier, DecisionTreeRegressor,
+                           TreeStructure)
 
 __all__ = [
     "tree_shap_values",
@@ -79,11 +80,9 @@ def resolve_precompute(value: bool = True) -> bool:
     return env not in ("0", "false", "off", "no")
 
 
-def _leaf_scalar(tree: TreeStructure, node: int, class_index: int | None) -> float:
-    value = tree.value[node]
-    if class_index is None:
-        return float(value[0])
-    return float(value[class_index])
+def _leaf_scalar(row: list, class_index: int | None) -> float:
+    """The explained scalar of one leaf's value row (a ``tolist`` row)."""
+    return row[0 if class_index is None else class_index]
 
 
 def tree_expected_value(
@@ -99,17 +98,18 @@ def tree_expected_value(
     """
     x = np.asarray(x, dtype=float).ravel()
     mask = np.asarray(mask, dtype=bool).ravel()
+    nodes = tree.tolist()
 
     def recurse(node: int) -> float:
-        if tree.is_leaf(node):
-            return _leaf_scalar(tree, node, class_index)
-        feature = tree.feature[node]
-        left, right = tree.children_left[node], tree.children_right[node]
+        feature = nodes.feature[node]
+        if feature == LEAF:
+            return _leaf_scalar(nodes.value[node], class_index)
+        left, right = nodes.left[node], nodes.right[node]
         if mask[feature]:
-            child = left if x[feature] <= tree.threshold[node] else right
+            child = left if x[feature] <= nodes.threshold[node] else right
             return recurse(child)
-        w_left = tree.n_node_samples[left]
-        w_right = tree.n_node_samples[right]
+        w_left = nodes.cover[left]
+        w_right = nodes.cover[right]
         total = w_left + w_right
         return (w_left * recurse(left) + w_right * recurse(right)) / total
 
@@ -192,7 +192,8 @@ def tree_shap_values(
     """Exact Shapley values of one tree's conditional-expectation game."""
     x = np.asarray(x, dtype=float).ravel()
     phi = np.zeros(n_features)
-    max_depth = tree.depth(0) + 2
+    max_depth = tree.n_levels + 2
+    nodes = tree.tolist()
 
     def recurse(
         node: int,
@@ -206,18 +207,18 @@ def tree_shap_values(
         while len(path) <= depth + max_depth:
             path.append(_PathElement())
         _extend(path, depth, zero_fraction, one_fraction, feature)
-        if tree.is_leaf(node):
-            leaf_value = _leaf_scalar(tree, node, class_index)
+        split_feature = nodes.feature[node]
+        if split_feature == LEAF:
+            leaf_value = _leaf_scalar(nodes.value[node], class_index)
             for i in range(1, depth + 1):
                 w = _unwound_sum(path, depth, i)
                 phi[path[i].feature] += (
                     w * (path[i].one_fraction - path[i].zero_fraction) * leaf_value
                 )
             return
-        split_feature = tree.feature[node]
-        left, right = tree.children_left[node], tree.children_right[node]
+        left, right = nodes.left[node], nodes.right[node]
         hot, cold = (
-            (left, right) if x[split_feature] <= tree.threshold[node] else (right, left)
+            (left, right) if x[split_feature] <= nodes.threshold[node] else (right, left)
         )
         incoming_zero, incoming_one = 1.0, 1.0
         new_depth = depth
@@ -230,15 +231,15 @@ def tree_shap_values(
                 _unwind(path, depth, i)
                 new_depth = depth - 1
                 break
-        cover = tree.n_node_samples[node]
+        cover = nodes.cover[node]
         recurse(
             hot, path, new_depth + 1,
-            incoming_zero * tree.n_node_samples[hot] / cover,
+            incoming_zero * nodes.cover[hot] / cover,
             incoming_one, split_feature,
         )
         recurse(
             cold, path, new_depth + 1,
-            incoming_zero * tree.n_node_samples[cold] / cover,
+            incoming_zero * nodes.cover[cold] / cover,
             0.0, split_feature,
         )
 
@@ -248,12 +249,13 @@ def tree_shap_values(
 
 def _tree_base_value(tree: TreeStructure, class_index: int | None) -> float:
     """Cover-weighted mean leaf value = EXPVALUE with the empty set."""
+    nodes = tree.tolist()
 
     def recurse(node: int) -> float:
-        if tree.is_leaf(node):
-            return _leaf_scalar(tree, node, class_index)
-        left, right = tree.children_left[node], tree.children_right[node]
-        w_left, w_right = tree.n_node_samples[left], tree.n_node_samples[right]
+        if nodes.feature[node] == LEAF:
+            return _leaf_scalar(nodes.value[node], class_index)
+        left, right = nodes.left[node], nodes.right[node]
+        w_left, w_right = nodes.cover[left], nodes.cover[right]
         return (w_left * recurse(left) + w_right * recurse(right)) / (w_left + w_right)
 
     return recurse(0)
@@ -276,24 +278,18 @@ class _TreeArrays:
                  "value", "frac")
 
     def __init__(self, tree: TreeStructure, class_index: int | None) -> None:
-        self.feature = np.asarray(tree.feature, dtype=np.intp)
-        self.threshold = np.asarray(tree.threshold, dtype=float)
-        self.left = np.asarray(tree.children_left, dtype=np.intp)
-        self.right = np.asarray(tree.children_right, dtype=np.intp)
-        self.is_leaf = self.feature == -1
-        n_nodes = self.feature.shape[0]
-        self.value = np.zeros(n_nodes)
-        for node in range(n_nodes):
-            if self.is_leaf[node]:
-                self.value[node] = _leaf_scalar(tree, node, class_index)
-        cover = np.asarray(tree.n_node_samples, dtype=float)
-        self.frac = np.ones(n_nodes)
-        for node in range(n_nodes):
-            if not self.is_leaf[node]:
-                self.frac[self.left[node]] = cover[self.left[node]] / cover[node]
-                self.frac[self.right[node]] = (
-                    cover[self.right[node]] / cover[node]
-                )
+        self.feature = tree.feature
+        self.threshold = tree.threshold
+        self.left = tree.children_left
+        self.right = tree.children_right
+        self.is_leaf = self.feature == LEAF
+        column = tree.value[:, 0 if class_index is None else class_index]
+        self.value = np.where(self.is_leaf, column, 0.0)
+        cover = tree.n_node_samples
+        split = np.flatnonzero(~self.is_leaf)
+        self.frac = np.ones(self.feature.shape[0])
+        self.frac[self.left[split]] = cover[self.left[split]] / cover[split]
+        self.frac[self.right[split]] = cover[self.right[split]] / cover[split]
 
 
 def _vec_unwind(feats, zeros, ones, ws, depth, index) -> None:

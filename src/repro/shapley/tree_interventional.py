@@ -33,30 +33,32 @@ import numpy as np
 
 from ..core.explanation import FeatureAttribution
 from ..obs import instrument_explainer
-from ..models.tree import TreeStructure
+from ..models.tree import LEAF, TreeStructure
 from .tree import TreeShapExplainer, _leaf_scalar
 
 __all__ = ["interventional_tree_shap", "InterventionalTreeShapExplainer"]
 
 
 def _leaf_paths(tree: TreeStructure):
-    """Yield ``(leaf, conditions)`` with per-feature condition lists.
+    """Yield ``(leaf value row, conditions)`` with per-feature condition lists.
 
     Each condition is ``(threshold, went_left)``: satisfied by value v
     iff ``v <= threshold`` when left else ``v > threshold``.
     """
     out = []
+    nodes = tree.tolist()
 
     def walk(node: int, conditions: dict[int, list[tuple[float, bool]]]):
-        if tree.is_leaf(node):
-            out.append((node, {k: list(v) for k, v in conditions.items()}))
+        feature = nodes.feature[node]
+        if feature == LEAF:
+            out.append((nodes.value[node],
+                        {k: list(v) for k, v in conditions.items()}))
             return
-        feature = tree.feature[node]
-        threshold = tree.threshold[node]
+        threshold = nodes.threshold[node]
         conditions.setdefault(feature, []).append((threshold, True))
-        walk(tree.children_left[node], conditions)
+        walk(nodes.left[node], conditions)
         conditions[feature][-1] = (threshold, False)
-        walk(tree.children_right[node], conditions)
+        walk(nodes.right[node], conditions)
         conditions[feature].pop()
         if not conditions[feature]:
             del conditions[feature]
@@ -89,8 +91,8 @@ def interventional_tree_shap(
     phi = np.zeros(n_features)
     base = 0.0
     for z in background:
-        for leaf, conditions in paths:
-            value = _leaf_scalar(tree, leaf, class_index)
+        for row, conditions in paths:
+            value = _leaf_scalar(row, class_index)
             x_only, z_only = [], []
             dead = False
             for feature, terms in conditions.items():

@@ -459,3 +459,14 @@ def test_histogram_buckets_cover(value, bucket_positive):
     h = Histogram("t")
     h.observe(value)
     assert (sum(h.buckets) == 1) is bucket_positive
+
+
+def test_bench_compare_floors_stacked_tree_predict():
+    """E42's stacked tree predict must stay >=3x the per-row walk."""
+    compare = _load_script(BENCH_COMPARE, "bench_compare")
+    assert compare.FLOORS["E42_tree_predict"]["tree_predict_speedup"] == 3.0
+    assert compare.floor_shortfalls(
+        {"E42_tree_predict": {"tree_predict_speedup": 40.0}}) == []
+    found = compare.floor_shortfalls(
+        {"E42_tree_predict": {"tree_predict_speedup": 1.2}})
+    assert len(found) == 1 and "tree_predict_speedup" in found[0]
