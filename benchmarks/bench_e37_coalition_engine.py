@@ -1,14 +1,21 @@
-"""E37 — Vectorized coalition engine vs the legacy evaluation path.
+"""E37 — Vectorized coalition evaluation vs the legacy evaluation path.
 
-Claim: at an equal coalition budget, broadcast masking + packed-bit value
-caching + chunked batching make coalition-based explainers ≥2× faster
+Claim: at an equal coalition budget, broadcast masking + coalition
+dedupe + chunked batching make coalition-based explainers ≥2× faster
 than the historical per-coalition loop, without changing a single output
-bit. The cache is the big lever for permutation sampling: every walk
+bit. Dedupe is the big lever for permutation sampling: every walk
 re-evaluates ∅ and N, and antithetic pairs plus short prefixes collide
-constantly at tabular feature counts, so most v(S) queries become
-dictionary lookups instead of model evaluations.
+constantly at tabular feature counts, so the shared coalition plan keeps
+fewer than half of the walk evaluations as distinct masks.
+
+The legacy side is the pre-engine per-walk loop (loop expansion, one
+unchunked predict call per walk, no dedupe), kept as a test oracle in
+``tests/oracles/coalition_walk.py``; the engine side is the explainers'
+one evaluation path.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
@@ -20,15 +27,21 @@ from repro.shapley import KernelShapExplainer, SamplingShapleyExplainer
 
 from conftest import emit, fmt_row
 
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.oracles.coalition_walk import (  # noqa: E402
+    kernel_explain,
+    sampling_explain,
+)
+
 N_PERMUTATIONS = 100
 KERNEL_BUDGET = 126
 
 
-def _timed_explain(explainer, x):
+def _timed(explain, x):
     """(attribution, wall seconds, rows evaluated) for one explain call."""
     rows_before = obs.counter("model.rows").value
     t0 = time.perf_counter()
-    attribution = explainer.explain(x)
+    attribution = explain(x)
     wall = time.perf_counter() - t0
     return attribution, wall, obs.counter("model.rows").value - rows_before
 
@@ -40,15 +53,19 @@ def test_e37_engine_speedup(loan_setup):
     common = dict(
         n_permutations=N_PERMUTATIONS, max_background=100, seed=3
     )
-    legacy = SamplingShapleyExplainer(gbm, data.X, engine=False, **common)
-    engine = SamplingShapleyExplainer(gbm, data.X, engine=True, **common)
+    legacy = SamplingShapleyExplainer(gbm, data.X, **common)
+    engine = SamplingShapleyExplainer(gbm, data.X, **common)
 
-    att_legacy, wall_legacy, rows_legacy = _timed_explain(legacy, x)
+    att_legacy, wall_legacy, rows_legacy = _timed(
+        lambda q: sampling_explain(legacy, q, engine=False), x
+    )
     hits_before = obs.counter("coalition.cache.hits").value
     misses_before = obs.counter("coalition.cache.misses").value
-    att_engine, wall_engine, rows_engine = _timed_explain(engine, x)
+    att_engine, wall_engine, rows_engine = _timed(engine.explain, x)
     cache_hits = obs.counter("coalition.cache.hits").value - hits_before
     cache_misses = obs.counter("coalition.cache.misses").value - misses_before
+    (plan,) = engine._plan_store.values()
+    walk_evaluations = plan.n_walks * (plan.n_players + 1)
 
     # Equal budget, identical numbers: the engine is a pure perf change.
     assert np.array_equal(att_engine.values, att_legacy.values)
@@ -57,10 +74,12 @@ def test_e37_engine_speedup(loan_setup):
     # Kernel SHAP at full enumeration: coalitions are all distinct, so
     # this row isolates the broadcast-expansion win without cache help.
     k_common = dict(n_samples=KERNEL_BUDGET, max_background=100, seed=3)
-    k_legacy = KernelShapExplainer(gbm, data.X, engine=False, **k_common)
-    k_engine = KernelShapExplainer(gbm, data.X, engine=True, **k_common)
-    k_att_legacy, k_wall_legacy, k_rows_legacy = _timed_explain(k_legacy, x)
-    k_att_engine, k_wall_engine, k_rows_engine = _timed_explain(k_engine, x)
+    k_legacy = KernelShapExplainer(gbm, data.X, **k_common)
+    k_engine = KernelShapExplainer(gbm, data.X, **k_common)
+    k_att_legacy, k_wall_legacy, k_rows_legacy = _timed(
+        lambda q: kernel_explain(k_legacy, q, engine=False), x
+    )
+    k_att_engine, k_wall_engine, k_rows_engine = _timed(k_engine.explain, x)
     assert np.array_equal(k_att_engine.values, k_att_legacy.values)
     k_speedup = k_wall_legacy / k_wall_engine
 
@@ -72,6 +91,8 @@ def test_e37_engine_speedup(loan_setup):
         fmt_row("kernel_shap", "engine", k_wall_engine, k_rows_engine,
                 k_speedup),
         fmt_row("cache", "hits", cache_hits, "misses", cache_misses),
+        fmt_row("plan", "unique", plan.n_unique, "walk evals",
+                walk_evaluations),
     ]
     emit("E37_coalition_engine", rows, data={
         "n_permutations": N_PERMUTATIONS,
@@ -92,10 +113,14 @@ def test_e37_engine_speedup(loan_setup):
         },
         "cache_hits": int(cache_hits),
         "cache_misses": int(cache_misses),
+        "plan_unique_masks": plan.n_unique,
+        "walk_evaluations": walk_evaluations,
     })
 
-    # The headline claim: ≥2× at equal budget, with the cache doing the
-    # heavy lifting (most coalition evaluations become lookups).
+    # The headline claim: ≥2× at equal budget, with dedupe doing the
+    # heavy lifting (fewer than half the walk evaluations are distinct
+    # masks, i.e. plan cache hits outnumber misses).
     assert speedup >= 2.0
+    assert plan.n_unique < walk_evaluations / 2
     assert cache_hits > cache_misses
     assert rows_engine < rows_legacy / 2

@@ -69,10 +69,10 @@ def _make_utility() -> UtilityFunction:
 
 
 def _engine_workload(gbm, X, x):
-    # A fresh explainer per run: the coalition value cache must start
+    # A fresh explainer per run: its coalition plan store must start
     # cold in every condition, or the first condition measured wins.
     explainer = SamplingShapleyExplainer(
-        gbm, X, engine=True, n_permutations=N_PERMUTATIONS,
+        gbm, X, n_permutations=N_PERMUTATIONS,
         max_background=100, seed=3,
     )
     return explainer.explain(x).values

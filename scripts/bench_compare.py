@@ -29,8 +29,8 @@ E45 (indexed provenance queries).
 Beyond wall-time ratios against the baseline, the guard also enforces
 **absolute speedup floors** (``FLOORS``) on headline ratios the
 benchmarks publish into their summary entries: E42's amortized batch
-paths and stacked tree predict must stay ≥3× their per-row loops
-regardless of what the baseline recorded — an eroding speedup is a
+paths, its batch-of-one ``explain`` and stacked tree predict must stay
+≥3× their per-row loops regardless of what the baseline recorded — an eroding speedup is a
 regression even when wall time drifts slowly enough to duck the
 relative check.
 
@@ -82,7 +82,13 @@ GUARDED_EXPERIMENTS = tuple(TOLERANCES)
 # fresh summary only — no baseline needed — and skipped when the
 # experiment (or the key) was not freshly run.
 FLOORS: dict = {
-    "E42_amortized_batch": {"sampling_speedup": 3.0, "tree_speedup": 3.0},
+    # Batch and batch-of-one sampling SHAP vs the per-walk oracle loop,
+    # batch TreeSHAP vs the scalar recursion.
+    "E42_amortized_batch": {
+        "sampling_speedup": 3.0,
+        "sampling_single_speedup": 3.0,
+        "tree_speedup": 3.0,
+    },
     # Stacked tree predict vs the per-row list-walk oracle (GBM and RF at
     # 4,501 rows; the slower family's ratio, in practice ~40x).
     "E42_tree_predict": {"tree_predict_speedup": 3.0},

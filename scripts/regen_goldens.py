@@ -46,8 +46,8 @@ def case_kernel_shap(backend: str | None = None):
     from repro.shapley.kernel import KernelShapExplainer
 
     model, background, x, __ = _classification_parts()
-    return KernelShapExplainer(model, background, n_samples=64, seed=0,
-                               backend=backend, n_procs=2).explain(x)
+    explainer = KernelShapExplainer(model, background, n_samples=64, seed=0)
+    return explainer.explain_batch(x[None], backend=backend, n_procs=2)[0]
 
 
 def view_kernel_shap(attr) -> dict:
@@ -62,9 +62,9 @@ def case_sampling_shap(backend: str | None = None):
     from repro.shapley.sampling import SamplingShapleyExplainer
 
     model, background, x, __ = _classification_parts()
-    return SamplingShapleyExplainer(model, background, n_permutations=16,
-                                    seed=0, backend=backend,
-                                    n_procs=2).explain(x)
+    explainer = SamplingShapleyExplainer(model, background,
+                                         n_permutations=16, seed=0)
+    return explainer.explain_batch(x[None], backend=backend, n_procs=2)[0]
 
 
 def view_sampling_shap(attr) -> dict:

@@ -1,6 +1,6 @@
 """Core abstractions: datasets, explanation objects, samplers, base classes."""
 
-from .base import AttributionExplainer, Explainer, as_predict_fn
+from .base import AttributionExplainer, Explainer, PlanExplainer, as_predict_fn
 from .dataset import FeatureSpec, TabularDataset
 from .explanation import (
     CounterfactualExplanation,
@@ -14,7 +14,6 @@ from .coalition_engine import (
     CoalitionValueCache,
     batched_predict,
     broadcast_expand,
-    legacy_expand,
 )
 from .sampling import GaussianPerturber, MaskingSampler
 
@@ -23,9 +22,9 @@ __all__ = [
     "CoalitionValueCache",
     "batched_predict",
     "broadcast_expand",
-    "legacy_expand",
     "AttributionExplainer",
     "Explainer",
+    "PlanExplainer",
     "as_predict_fn",
     "FeatureSpec",
     "TabularDataset",

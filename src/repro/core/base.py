@@ -46,6 +46,7 @@ from ..obs.trace import current_span
 from ..robust.errors import BatchRowError, InputValidationError, PartialBatchError
 from ..robust.guard import (
     GuardConfig,
+    check_instance,
     guard_predict_fn,
     guard_scope,
     resolve_deadline_s,
@@ -53,7 +54,13 @@ from ..robust.guard import (
 )
 from .explanation import FeatureAttribution
 
-__all__ = ["as_predict_fn", "Explainer", "AttributionExplainer", "resolve_n_jobs"]
+__all__ = [
+    "as_predict_fn",
+    "Explainer",
+    "AttributionExplainer",
+    "PlanExplainer",
+    "resolve_n_jobs",
+]
 
 _ROWS_FAILED = "robust.rows_failed"
 _PLAN_FALLBACKS = "coalition.plan.fallbacks"
@@ -62,11 +69,11 @@ _PLAN_FALLBACKS = "coalition.plan.fallbacks"
 def _budgets_configured(guard) -> bool:
     """Whether a guard deadline or model-query budget is in force.
 
-    The amortized batch path evaluates many rows inside one guard
-    scope, which would silently convert per-*row* budgets into a
-    per-*batch* budget; explainers with an active deadline or query
-    budget therefore keep the per-row loop, whose scope-per-row
-    semantics the robust tests pin down.
+    A fused batch evaluates many rows inside one guard scope, which
+    would silently convert per-*row* budgets into a per-*batch* budget;
+    with an active deadline or query budget ``explain_batch`` therefore
+    opens one scope per row, each row a batch of one on the same plan
+    path, whose scope-per-row semantics the robust tests pin down.
     """
     cfg = guard if isinstance(guard, GuardConfig) else None
     return (
@@ -252,18 +259,11 @@ class AttributionExplainer(Explainer):
         :class:`repro.robust.PartialBatchError` carrying the same
         partial results. Failed rows increment ``robust.rows_failed``.
 
-        Amortization: explainers implementing the ``_amortized_context``
-        / ``_amortized_rows`` hook pair (the sampling/kernel/QII/
-        conditional SHAP family) serve the whole batch from one shared
-        :class:`repro.games.plan.CoalitionPlan` — bitwise-identical
-        seeded attributions without per-row re-sampling. The fused path
-        is skipped in favour of the per-row loop (``amortized=False`` on
-        the batch span) when ``REPRO_BATCH_PLAN=0``, when the batch has
-        a single row, when extra ``explain`` kwargs beyond
-        ``feature_names`` are passed, or when guard deadlines/query
-        budgets are configured (those are per-row semantics the fused
-        path cannot honour); a mid-fuse failure increments
-        ``coalition.plan.fallbacks`` and falls back to the loop.
+        Amortization: :class:`PlanExplainer` subclasses (sampling,
+        kernel, QII and conditional SHAP) serve the whole batch from one
+        shared :class:`repro.games.plan.CoalitionPlan` — see
+        :meth:`PlanExplainer._try_amortized`; every other explainer
+        runs the per-row loop (``amortized=False`` on the batch span).
         """
         try:
             X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -280,9 +280,22 @@ class AttributionExplainer(Explainer):
         if backend_name == "thread":
             n_jobs = max(n_jobs, resolve_n_procs(n_procs))
 
-        results = self._try_amortized(X, backend_name, n_jobs, n_procs, kwargs)
-        if results is not None:
-            return (results, []) if return_errors else results
+        fused = self._try_amortized(X, backend_name, n_jobs, n_procs, kwargs)
+        if fused is not None:
+            results, errors = fused
+        else:
+            results, errors = self._run_loop(X, backend_name, n_jobs,
+                                             n_procs, kwargs)
+        if errors:
+            metrics.counter(_ROWS_FAILED).inc(len(errors))
+        if return_errors:
+            return results, errors
+        if errors:
+            raise PartialBatchError(partial=results, errors=errors)
+        return results
+
+    def _run_loop(self, X, backend_name, n_jobs, n_procs, kwargs):
+        """``explain`` per row; returns ``(results, errors)``."""
 
         def run_row(i: int, x: np.ndarray):
             try:
@@ -305,92 +318,18 @@ class AttributionExplainer(Explainer):
                 outcomes = [f.result() for f in futures]
         results = [res for res, __ in outcomes]
         errors = [err for __, err in outcomes if err is not None]
-        if errors:
-            metrics.counter(_ROWS_FAILED).inc(len(errors))
-        if return_errors:
-            return results, errors
-        if errors:
-            raise PartialBatchError(partial=results, errors=errors)
-        return results
+        return results, errors
 
     def _try_amortized(self, X, backend_name, n_jobs, n_procs, kwargs):
-        """Run the shared-plan batch path if eligible, else ``None``.
+        """The fused batch path's hook: ``(results, errors)`` or ``None``.
 
-        Eligibility gates keep the fused path strictly
-        behaviour-preserving; any exception inside it counts a
-        ``coalition.plan.fallbacks`` and yields the per-row loop. The
-        ambient batch span gets an ``amortized`` attribute either way.
+        ``None`` runs the per-row loop. Only :class:`PlanExplainer`
+        has a fused path; the batch span records which one ran.
         """
-        # Deferred import: repro.games imports the engine/exec layers at
-        # package-init time, so a module-level import here would cycle.
-        from ..games.plan import resolve_batch_plan
-
-        amortized = False
-        results = None
-        if (
-            X.shape[0] >= 2
-            and hasattr(self, "_amortized_rows")
-            and set(kwargs) <= {"feature_names"}
-            and resolve_batch_plan()
-            and self._amortized_supported()
-            and not _budgets_configured(self.guard_config)
-        ):
-            try:
-                results = self._run_amortized(
-                    X, backend_name, n_jobs, n_procs, **kwargs
-                )
-                amortized = True
-            except Exception:
-                metrics.counter(_PLAN_FALLBACKS).inc()
-                results = None
         sp = current_span()
         if sp is not None:
-            sp.set_attr("amortized", amortized)
-        return results
-
-    def _amortized_supported(self) -> bool:
-        """Explainer-specific veto for the amortized path (default: on)."""
-        return True
-
-    def _run_amortized(self, X, backend_name, n_jobs, n_procs, **kwargs):
-        """Shared-plan batch execution: one context, row-sharded evaluation.
-
-        ``_amortized_context`` builds everything row-independent (the
-        coalition plan, precomputed structures) parent-side exactly
-        once; ``_amortized_rows`` then evaluates a contiguous row range
-        against it. On the process backend the context ships to forked
-        workers via copy-on-write memory — once per worker, not per
-        shard — and the thread backend shares it in-process.
-        """
-        ctx = self._amortized_context(X, **kwargs)
-        n_rows = X.shape[0]
-        if backend_name == "serial" and n_jobs > 1:
-            backend_name = "thread"
-            workers = n_jobs
-        elif backend_name != "serial":
-            workers = max(resolve_n_procs(n_procs), n_jobs)
-        else:
-            workers = 1
-        if backend_name == "serial" or workers < 2:
-            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
-        plan = plan_shards(n_rows, workers)
-        if plan.n_shards < 2:
-            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
-
-        def run_shard(bounds):
-            lo, hi = bounds
-            return self._amortized_rows(X, lo, hi, ctx, **kwargs)
-
-        outcomes = map_shards(
-            run_shard, list(plan.slices), backend=backend_name,
-            n_procs=workers, split_scope=False,
-        )
-        results = []
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise outcome.error
-            results.extend(outcome.value)
-        return results
+            sp.set_attr("amortized", False)
+        return None
 
     def _run_batch_process(self, X, run_row, n_procs, backend="process"):
         """Row-sharded ``explain_batch`` over worker processes.
@@ -441,3 +380,135 @@ class AttributionExplainer(Explainer):
                         (None, BatchRowError(index=err["index"], error=exc))
                     )
         return outcomes
+
+
+class PlanExplainer(AttributionExplainer):
+    """Base of the coalition-plan families: sampling, kernel, QII and
+    conditional SHAP.
+
+    These explainers have exactly one evaluation path. A
+    :class:`repro.games.plan.CoalitionPlan` holds everything that does
+    not depend on the explained row (the seeded walks or Kernel SHAP
+    design, deduplicated), and ``_amortized_rows`` evaluates a
+    contiguous row range against it with fused model calls.
+    ``explain(x)`` is a batch of one on that path; ``explain_batch``
+    fuses every valid row of the batch into it.
+
+    Subclasses provide:
+
+    * ``n_features`` — the width every explained instance must have;
+    * ``_amortized_context(X, feature_names=None)`` — the row-independent
+      context (the plan, through :func:`repro.games.plan.shared_plan`,
+      plus anything precomputed once per batch), built parent-side;
+    * ``_amortized_rows(X, lo, hi, ctx, feature_names=None)`` — the
+      attributions of rows ``[lo, hi)``. Under a guard budget (one row
+      at a time, see :func:`_budgets_configured`) it returns the partial
+      estimate :func:`repro.games.plan.plan_values` allows.
+    """
+
+    n_features: int
+
+    def explain(self, x: np.ndarray, feature_names: list[str] | None = None
+                ) -> FeatureAttribution:
+        """Explain one instance: a batch of one on the coalition plan."""
+        X = check_instance(x, self.n_features)[None, :]
+        ctx = self._amortized_context(X, feature_names=feature_names)
+        return self._amortized_rows(X, 0, 1, ctx,
+                                    feature_names=feature_names)[0]
+
+    def _invalid_rows(self, X: np.ndarray) -> list[BatchRowError]:
+        """One :class:`BatchRowError` per row ``explain`` would reject.
+
+        The same width/finiteness contract (and message) as
+        :func:`repro.robust.check_instance`, checked vectorized first so
+        a clean batch costs one ``isfinite`` pass.
+        """
+        if X.shape[1] == self.n_features:
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        else:
+            bad = range(X.shape[0])
+        errors = []
+        for i in bad:
+            try:
+                check_instance(X[i], self.n_features)
+            except InputValidationError as e:
+                errors.append(BatchRowError(index=int(i), error=e))
+        return errors
+
+    def _try_amortized(self, X, backend_name, n_jobs, n_procs, kwargs):
+        """Fuse the batch's valid rows onto one shared plan.
+
+        Rows that fail input validation become
+        ``BatchRowError(InputValidationError)`` records up front — they
+        never reach (or spoil) the fused call. The per-row loop runs
+        instead (``None``) when extra ``explain`` kwargs beyond
+        ``feature_names`` are passed, or when guard deadlines/query
+        budgets are configured (each row then gets its own scope, and
+        is a batch of one on the same path). A failure inside the fused
+        call counts a ``coalition.plan.fallbacks`` and falls back to the
+        loop, which isolates the failing rows. The batch span's
+        ``amortized`` attribute records which path ran.
+        """
+        outcome = None
+        if (
+            set(kwargs) <= {"feature_names"}
+            and not _budgets_configured(self.guard_config)
+        ):
+            errors = self._invalid_rows(X)
+            bad = {e.index for e in errors}
+            valid = [i for i in range(X.shape[0]) if i not in bad]
+            results = [None] * X.shape[0]
+            try:
+                if valid:
+                    fused = self._run_amortized(
+                        X[valid], backend_name, n_jobs, n_procs, **kwargs
+                    )
+                    for i, attribution in zip(valid, fused):
+                        results[i] = attribution
+                outcome = (results, errors)
+            except Exception:
+                metrics.counter(_PLAN_FALLBACKS).inc()
+        sp = current_span()
+        if sp is not None:
+            sp.set_attr("amortized", outcome is not None)
+        return outcome
+
+    def _run_amortized(self, X, backend_name, n_jobs, n_procs, **kwargs):
+        """Shared-plan batch execution: one context, row-sharded evaluation.
+
+        ``_amortized_context`` builds everything row-independent (the
+        coalition plan, precomputed structures) parent-side exactly
+        once; ``_amortized_rows`` then evaluates a contiguous row range
+        against it. On the process backend the context ships to forked
+        workers via copy-on-write memory — once per worker, not per
+        shard — and the thread backend shares it in-process.
+        """
+        ctx = self._amortized_context(X, **kwargs)
+        n_rows = X.shape[0]
+        if backend_name == "serial" and n_jobs > 1:
+            backend_name = "thread"
+            workers = n_jobs
+        elif backend_name != "serial":
+            workers = max(resolve_n_procs(n_procs), n_jobs)
+        else:
+            workers = 1
+        if backend_name == "serial" or workers < 2:
+            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
+        plan = plan_shards(n_rows, workers)
+        if plan.n_shards < 2:
+            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
+
+        def run_shard(bounds):
+            lo, hi = bounds
+            return self._amortized_rows(X, lo, hi, ctx, **kwargs)
+
+        outcomes = map_shards(
+            run_shard, list(plan.slices), backend=backend_name,
+            n_procs=workers, split_scope=False,
+        )
+        results = []
+        for outcome in outcomes:
+            if not outcome.ok:
+                raise outcome.error
+            results.extend(outcome.value)
+        return results

@@ -35,11 +35,12 @@ evaluations are **never committed** to the value cache — cache writes
 happen only after a chunk's values come back clean, so a poisoned chunk
 cannot leave corrupt ``v(S)`` entries behind for later calls to reuse.
 
-The pre-engine evaluation path (per-coalition loop expand, one unchunked
-predict call, no cache) is preserved as :func:`legacy_expand` /
-:meth:`CoalitionEngine.legacy_value_function` so E37 can benchmark
-old-vs-new at equal coalition budget and the regression tests can assert
-bitwise-identical expansions.
+The chunk loop (:func:`_run_chunks`) and the cache lookup
+(:func:`_cached_values`) are shared with the games evaluator
+(:mod:`repro.games.engine`) and the conditional value function, so every
+coalition evaluation in the library chunks, retries, times and
+deduplicates the same way. The pre-engine per-coalition loop lives on
+only as a test oracle (``tests/oracles/coalition_walk.py``).
 """
 
 from __future__ import annotations
@@ -54,14 +55,13 @@ from ..obs import metrics
 from ..obs.trace import span
 from ..persist.errors import PayloadError
 from ..persist.protocol import register_serializable
-from ..robust.errors import ModelEvaluationError
+from ..robust.errors import ModelEvaluationError, OutputShapeError
 
 __all__ = [
     "DEFAULT_MAX_BATCH_ROWS",
     "resolve_max_batch_rows",
     "resolve_cache",
     "broadcast_expand",
-    "legacy_expand",
     "batched_predict",
     "CoalitionValueCache",
     "CoalitionEngine",
@@ -127,28 +127,6 @@ def broadcast_expand(
     return rows.reshape(n_c * background.shape[0], d)
 
 
-def legacy_expand(
-    x: np.ndarray, coalitions: np.ndarray, background: np.ndarray
-) -> np.ndarray:
-    """The pre-engine per-coalition expansion loop.
-
-    Kept verbatim-in-behaviour (the chained ``out[block][:, present]``
-    view assignment is replaced by a single-step index) so E37 can time
-    the old path and the regression tests can assert the broadcast path
-    is bitwise identical.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-    n_c = coalitions.shape[0]
-    n_b = background.shape[0]
-    out = np.tile(background, (n_c, 1))
-    for c in range(n_c):
-        present = coalitions[c]
-        out[c * n_b : (c + 1) * n_b, present] = x[present]
-    return out
-
-
 def batched_predict(
     predict_fn: Callable[[np.ndarray], np.ndarray],
     rows: np.ndarray,
@@ -171,6 +149,94 @@ def batched_predict(
         out[start:stop] = np.asarray(
             predict_fn(rows[start:stop]), dtype=float
         ).ravel()
+    return out
+
+
+def _cached_values(keys, store, evaluate, sp=None) -> np.ndarray:
+    """One value per key row, each distinct key evaluated at most once.
+
+    Keys already in ``store`` (a :class:`CoalitionValueCache`) are
+    served from it; the rest go to a single ``evaluate(rows)`` call with
+    the row indices of their first occurrences, in first-occurrence
+    order, and are committed only after it returns, so a failed chunk
+    never leaves an entry behind. Cached keys and in-call repeats count
+    as hits, evaluated keys as misses — on the store's counters and on
+    span ``sp``.
+    """
+    n = keys.shape[0]
+    values = store.values
+    out = np.empty(n, dtype=float)
+    followers: dict[bytes, list[int]] = {}
+    for i in range(n):
+        key = keys[i].tobytes()
+        known = values.get(key)
+        if known is not None:
+            out[i] = known
+        elif key in followers:
+            followers[key].append(i)
+        else:
+            followers[key] = [i]
+    n_fresh = len(followers)
+    if followers:
+        vals = np.asarray(
+            evaluate(np.array([rows[0] for rows in followers.values()])),
+            dtype=float,
+        )
+        for (key, rows), value in zip(followers.items(), vals.tolist()):
+            values[key] = value
+            out[rows] = value
+    store.record(n - n_fresh, n_fresh)
+    if sp is not None:
+        sp.set_attr("cache_hits", n - n_fresh)
+        sp.set_attr("cache_misses", n_fresh)
+    return out
+
+
+def _run_chunks(n_items, per_chunk, evaluate, chunk_retries, sp,
+                rows_per_item, what="coalition evaluation") -> np.ndarray:
+    """The one chunk loop behind every coalition evaluation.
+
+    Fills ``out[start:stop] = evaluate(start, stop)`` over ``[0,
+    n_items)`` in ``per_chunk`` slices, timing each into
+    ``coalition.chunk_ms``. A chunk whose evaluation gives up with
+    :class:`~repro.robust.ModelEvaluationError` is retried whole up to
+    ``chunk_retries`` times: chunk geometry means one flaky evaluation
+    would otherwise sink thousands of coalition values, and a fresh
+    attempt re-enters the guard with a full retry allowance.
+    :class:`~repro.robust.BudgetExceededError` is never retried (the
+    budget will not recover), and neither is a chunk that came back
+    with the wrong number of values — ``what`` names the evaluator in
+    that :class:`~repro.robust.OutputShapeError`, a bug no retry can
+    fix. The chunk geometry lands on the ``coalition_eval`` span ``sp``.
+    """
+    out = np.empty(n_items, dtype=float)
+    n_chunks = 0
+    try:
+        for start in range(0, n_items, per_chunk):
+            stop = min(start + per_chunk, n_items)
+            with metrics.observe_duration("coalition.chunk_ms"):
+                attempt = 0
+                while True:
+                    try:
+                        vals = np.asarray(evaluate(start, stop),
+                                          dtype=float).ravel()
+                        break
+                    except ModelEvaluationError:
+                        attempt += 1
+                        if attempt > chunk_retries:
+                            raise
+                        metrics.counter(_CHUNK_RETRIES).inc()
+            if vals.shape[0] != stop - start:
+                raise OutputShapeError(
+                    f"{what} returned {vals.shape[0]} values for "
+                    f"{stop - start} coalitions"
+                )
+            out[start:stop] = vals
+            n_chunks += 1
+    finally:
+        sp.set_attr("chunk_coalitions", per_chunk)
+        sp.set_attr("chunk_rows", per_chunk * rows_per_item)
+        sp.set_attr("n_chunks", n_chunks)
     return out
 
 
@@ -296,44 +362,33 @@ class CoalitionEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(
-        self,
-        model_fn: Callable[[np.ndarray], np.ndarray],
-        x: np.ndarray,
-        coalitions: np.ndarray,
-        sp,
-    ) -> np.ndarray:
-        """Chunked v(S) for unique coalitions; one value per coalition."""
-        n_b = self.n_background
+    def _grid(self, model_fn, X, coalitions, sp) -> np.ndarray:
+        """Chunked ``v(S)`` over the flattened ``rows × coalitions`` grid.
+
+        Slot ``r * n_c + c`` is coalition ``c`` fixed to row ``r``. Each
+        coalition block is averaged over its own background rows only,
+        so values are bitwise independent of where chunks fall — across
+        coalitions and across instance rows alike.
+        """
         n_c = coalitions.shape[0]
+        n_b = self.n_background
+        d = X.shape[1]
+
+        def evaluate(start, stop):
+            slots = np.arange(start, stop)
+            row_ids = slots // n_c
+            coal_ids = slots - row_ids * n_c
+            rows = np.where(
+                coalitions[coal_ids][:, None, :],
+                X[row_ids][:, None, :],
+                self.background[None, :, :],
+            ).reshape((stop - start) * n_b, d)
+            preds = np.asarray(model_fn(rows), dtype=float).ravel()
+            return preds.reshape(stop - start, n_b).mean(axis=1)
+
         per_chunk = max(1, self.max_batch_rows // n_b)
-        values = np.empty(n_c, dtype=float)
-        n_chunks = 0
-        for start in range(0, n_c, per_chunk):
-            chunk = coalitions[start : start + per_chunk]
-            with metrics.observe_duration("coalition.chunk_ms"):
-                rows = broadcast_expand(x, chunk, self.background)
-                attempt = 0
-                while True:
-                    try:
-                        preds = np.asarray(model_fn(rows), dtype=float).ravel()
-                        break
-                    except ModelEvaluationError:
-                        # Chunk-level retry: re-enter the guard with a fresh
-                        # allowance. BudgetExceededError is not a
-                        # ModelEvaluationError and propagates immediately.
-                        attempt += 1
-                        if attempt > self.chunk_retries:
-                            raise
-                        metrics.counter(_CHUNK_RETRIES).inc()
-                values[start : start + chunk.shape[0]] = preds.reshape(
-                    chunk.shape[0], n_b
-                ).mean(axis=1)
-            n_chunks += 1
-        sp.set_attr("chunk_coalitions", per_chunk)
-        sp.set_attr("chunk_rows", per_chunk * n_b)
-        sp.set_attr("n_chunks", n_chunks)
-        return values
+        return _run_chunks(X.shape[0] * n_c, per_chunk, evaluate,
+                           self.chunk_retries, sp, n_b)
 
     def batch_value_matrix(
         self,
@@ -349,57 +404,18 @@ class CoalitionEngine:
         ``value_function(model_fn, X[r])(coalitions)[c]`` computes, but
         evaluated as one flattened ``instance × coalition`` grid so
         chunks can span row boundaries and small per-row mask sets no
-        longer pay one model call each. Each coalition block is averaged
-        over its own background rows only, so values are bitwise
-        independent of the chunk geometry (the same invariant
-        :func:`batched_predict` relies on); the amortized
-        ``explain_batch`` parity tests assert this against the per-row
-        path. Callers pass pre-deduplicated coalitions (a
-        :class:`repro.games.plan.CoalitionPlan`); no value cache is
-        consulted here.
+        longer pay one model call each. Callers pass pre-deduplicated
+        coalitions (a :class:`repro.games.plan.CoalitionPlan`); no value
+        cache is consulted here.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
         n_rows, n_c = X.shape[0], coalitions.shape[0]
-        n_b = self.n_background
-        total = n_rows * n_c
-        per_chunk = max(1, self.max_batch_rows // n_b)
-        out = np.empty(total, dtype=float)
         with span(
-            "coalition_eval", n_coalitions=total, n_background=n_b,
-            fused_rows=n_rows,
+            "coalition_eval", n_coalitions=n_rows * n_c,
+            n_background=self.n_background, fused_rows=n_rows,
         ) as sp:
-            n_chunks = 0
-            for start in range(0, total, per_chunk):
-                stop = min(start + per_chunk, total)
-                slots = np.arange(start, stop)
-                row_ids = slots // n_c
-                coal_ids = slots - row_ids * n_c
-                with metrics.observe_duration("coalition.chunk_ms"):
-                    rows = np.where(
-                        coalitions[coal_ids][:, None, :],
-                        X[row_ids][:, None, :],
-                        self.background[None, :, :],
-                    ).reshape((stop - start) * n_b, X.shape[1])
-                    attempt = 0
-                    while True:
-                        try:
-                            preds = np.asarray(
-                                model_fn(rows), dtype=float
-                            ).ravel()
-                            break
-                        except ModelEvaluationError:
-                            attempt += 1
-                            if attempt > self.chunk_retries:
-                                raise
-                            metrics.counter(_CHUNK_RETRIES).inc()
-                    out[start:stop] = preds.reshape(
-                        stop - start, n_b
-                    ).mean(axis=1)
-                n_chunks += 1
-            sp.set_attr("chunk_coalitions", per_chunk)
-            sp.set_attr("chunk_rows", per_chunk * n_b)
-            sp.set_attr("n_chunks", n_chunks)
+            out = self._grid(model_fn, X, coalitions, sp)
         return out.reshape(n_rows, n_c)
 
     def value_function(
@@ -414,9 +430,12 @@ class CoalitionEngine:
         returns one averaged output per coalition. With ``cache=True``
         (the default — correct because the masking game is deterministic)
         identical masks are evaluated once within and across calls; the
-        cache is reachable afterwards as ``v.cache``.
+        cache is reachable afterwards as ``v.cache``. Values are only
+        committed to the cache after the whole evaluation succeeded, so a
+        failed chunk never leaves entries behind.
         """
         x = np.asarray(x, dtype=float).ravel()
+        X = x[None, :]
         store = CoalitionValueCache() if resolve_cache(cache) else None
         if store is not None:
             # Opt-in pre-warming from a persisted snapshot
@@ -435,60 +454,15 @@ class CoalitionEngine:
                 "coalition_eval", n_coalitions=n_c, n_background=self.n_background
             ) as sp:
                 if store is None:
-                    out = self._evaluate(model_fn, x, coalitions, sp)
+                    out = self._grid(model_fn, X, coalitions, sp)
                     sp.set_attr("cache_hits", 0)
                     sp.set_attr("cache_misses", n_c)
                     return out
-                keys = np.packbits(coalitions, axis=1)
-                out = np.empty(n_c, dtype=float)
-                # First occurrence of each uncached mask, plus every row
-                # (cached, duplicate, or fresh) it must fill.
-                fresh_rows: list[int] = []
-                followers: dict[bytes, list[int]] = {}
-                hits = 0
-                for i in range(n_c):
-                    key = keys[i].tobytes()
-                    known = store.values.get(key)
-                    if known is not None:
-                        out[i] = known
-                        hits += 1
-                    elif key in followers:
-                        followers[key].append(i)
-                        hits += 1
-                    else:
-                        followers[key] = [i]
-                        fresh_rows.append(i)
-                if fresh_rows:
-                    vals = self._evaluate(
-                        model_fn, x, coalitions[fresh_rows], sp
-                    )
-                    for j, i0 in enumerate(fresh_rows):
-                        key = keys[i0].tobytes()
-                        store.values[key] = vals[j]
-                        for i in followers[key]:
-                            out[i] = vals[j]
-                store.record(hits, len(fresh_rows))
-                sp.set_attr("cache_hits", hits)
-                sp.set_attr("cache_misses", len(fresh_rows))
-                return out
+                return _cached_values(
+                    np.packbits(coalitions, axis=1), store,
+                    lambda rows: self._grid(model_fn, X, coalitions[rows], sp),
+                    sp,
+                )
 
         v.cache = store
-        return v
-
-    def legacy_value_function(
-        self, model_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray
-    ):
-        """The pre-engine path: loop expand, one unchunked call, no cache.
-
-        Kept so E37 can compare old-vs-new wall time and model-eval counts
-        at equal coalition budget.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        n_b = self.n_background
-
-        def v(coalitions: np.ndarray) -> np.ndarray:
-            rows = legacy_expand(x, coalitions, self.background)
-            preds = np.asarray(model_fn(rows), dtype=float)
-            return preds.reshape(-1, n_b).mean(axis=1)
-
         return v

@@ -90,8 +90,6 @@ class MaskingSampler(CoalitionEngine):
     :class:`repro.core.coalition_engine.CoalitionEngine`: ``expand`` is a
     single ``np.where`` broadcast (block layout unchanged), and
     ``value_function`` deduplicates repeated masks through a packed-bit
-    value cache and evaluates in memory-bounded chunks. The historical
-    loop-based path survives as ``legacy_value_function`` for the E37
-    old-vs-new benchmark.
+    value cache and evaluates in memory-bounded chunks.
     """
 

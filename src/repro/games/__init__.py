@@ -23,7 +23,7 @@ from .adapters import (
     sample_topological_order,
 )
 from .base import BaseGame, FunctionGame, Game, as_game, walk_masks
-from .engine import amortized_plan_values, game_value_function
+from .engine import game_value_function
 from .estimators import (
     EstimatorState,
     PermutationEstimate,
@@ -40,7 +40,6 @@ from .plan import (
     kernel_plan,
     mean_walks_reduce,
     permutation_plan,
-    resolve_batch_plan,
     shared_plan,
 )
 
@@ -51,9 +50,7 @@ __all__ = [
     "as_game",
     "walk_masks",
     "game_value_function",
-    "amortized_plan_values",
     "CoalitionPlan",
-    "resolve_batch_plan",
     "permutation_plan",
     "kernel_plan",
     "shared_plan",

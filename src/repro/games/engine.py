@@ -22,8 +22,8 @@ tuple provenance and causal games too:
   capped-exponential retry of ``TRANSIENT_DEFAULT`` failures
   (``robust.retries``), and any chunk that still dies with
   :class:`~repro.robust.ModelEvaluationError` is retried whole
-  (``robust.chunk_retries``), mirroring
-  :meth:`CoalitionEngine._evaluate`;
+  (``robust.chunk_retries``) by the chunk loop every coalition
+  evaluation shares (:func:`repro.core.coalition_engine._run_chunks`);
 * **span telemetry**: every call opens a ``coalition_eval`` span
   carrying the game class, chunk geometry and cache hit/miss counts.
 
@@ -33,14 +33,9 @@ interventional SCM value function seeds ``seed + row``), so the same
 mask at the same walk position is deterministic — and cacheable —
 while masks at different positions stay distinct.
 
-The amortized ``explain_batch`` path (PR 7) evaluates a shared
-:class:`repro.games.plan.CoalitionPlan` instead of re-sampling per row:
-masking-family explainers go through
-:meth:`repro.core.coalition_engine.CoalitionEngine.batch_value_matrix`
-(one fused ``batch × coalitions`` grid), and game-shaped value
-functions without an engine go through :func:`amortized_plan_values`
-here — one ``coalition_eval`` span per row covering every unique mask
-the whole walk schedule visits.
+Cache lookup and dedupe are
+:func:`repro.core.coalition_engine._cached_values`, the same helper the
+coalition engine's value function uses.
 """
 
 from __future__ import annotations
@@ -50,10 +45,11 @@ import numpy as np
 from ..core.coalition_engine import (
     DEFAULT_CHUNK_RETRIES,
     CoalitionValueCache,
+    _cached_values,
+    _run_chunks,
     resolve_cache,
     resolve_max_batch_rows,
 )
-from ..obs import metrics
 from ..obs.trace import span
 from ..robust.errors import (
     BudgetExceededError,
@@ -71,41 +67,23 @@ from ..robust.guard import (
 )
 from .base import as_game
 
-__all__ = ["game_value_function", "amortized_plan_values"]
-
-_CHUNK_RETRIES = "robust.chunk_retries"
+__all__ = ["game_value_function"]
 
 
-def amortized_plan_values(value_fn, plan) -> np.ndarray:
-    """Evaluate one row's value function over a plan's unique coalitions.
+def _evaluate_chunk(game, positions, masks, guarded, rows_per):
+    """One chunk through the game, with budgets, transient retry, charging.
 
-    The fused counterpart of calling ``value_fn`` once per walk: every
-    distinct mask the plan's walk schedule visits is evaluated in a
-    single batched call (the value function's own internal batching —
-    e.g. the conditional explainer's stacked neighbor blocks — then
-    collapses the whole schedule into O(1) model calls). Per-mask
-    values are bitwise-identical to the per-walk path because each
-    mask's value never depends on what else is in the batch.
+    Whole-chunk retry of a :class:`ModelEvaluationError` is the shared
+    chunk loop's job (:func:`repro.core.coalition_engine._run_chunks`);
+    this is the part only unguarded games need: charging the ambient
+    scope and retrying ``TRANSIENT_DEFAULT`` failures with backoff.
     """
-    masks = plan.unique_masks
-    with span(
-        "coalition_eval", n_coalitions=masks.shape[0], game="plan",
-        amortized=True,
-    ) as sp:
-        vals = np.asarray(value_fn(masks), dtype=float).ravel()
-        sp.set_attr("plan_kind", plan.kind)
-    return vals
-
-
-def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
-    """One chunk through the game, with budgets, retries and charging."""
     n_rows = masks.shape[0] * rows_per
     scope = None if guarded else current_scope()
     retries = resolve_retries()
     backoff = resolve_backoff()
     cfg = GuardConfig()
     failures = 0
-    attempts = 0
     while True:
         if scope is not None:
             scope.check(n_rows)
@@ -116,16 +94,9 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
                 vals = game.value(masks)
             vals = np.asarray(vals, dtype=float).ravel()
             break
-        except (BudgetExceededError, InputValidationError):
+        except (BudgetExceededError, InputValidationError,
+                ModelEvaluationError):
             raise
-        except ModelEvaluationError:
-            # Chunk-level retry: a guarded game's predict function has
-            # already burned its own retry allowance; one fresh pass at
-            # the whole chunk re-enters it with a full allowance.
-            attempts += 1
-            if attempts > chunk_retries:
-                raise
-            metrics.counter(_CHUNK_RETRIES).inc()
         except TRANSIENT_DEFAULT as e:
             if guarded:
                 raise
@@ -138,11 +109,6 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
                 ) from e
             _note_retry(scope)
             _backoff_sleep(cfg, backoff, failures, scope)
-    if vals.shape[0] != masks.shape[0]:
-        raise ModelEvaluationError(
-            f"{type(game).__name__}.value returned {vals.shape[0]} values "
-            f"for {masks.shape[0]} coalitions"
-        )
     if scope is not None:
         scope.rows_spent += n_rows
     return vals
@@ -193,27 +159,17 @@ def game_value_function(
     game_name = type(game).__name__
     chunk_retries = max(0, int(chunk_retries))
 
-    def _evaluate(
-        indices: np.ndarray, coalitions: np.ndarray, pos: np.ndarray | None, sp
-    ) -> np.ndarray:
-        out = np.empty(indices.shape[0], dtype=float)
-        n_chunks = 0
-        for start in range(0, indices.shape[0], per_chunk):
-            sel = indices[start : start + per_chunk]
-            with metrics.observe_duration("coalition.chunk_ms"):
-                out[start : start + sel.shape[0]] = _evaluate_chunk(
-                    game,
-                    pos[sel] if positional else None,
-                    coalitions[sel],
-                    guarded,
-                    rows_per,
-                    chunk_retries,
-                )
-            n_chunks += 1
-        sp.set_attr("chunk_coalitions", per_chunk)
-        sp.set_attr("chunk_rows", per_chunk * rows_per)
-        sp.set_attr("n_chunks", n_chunks)
-        return out
+    def _evaluate(indices: np.ndarray, coalitions: np.ndarray,
+                  pos: np.ndarray | None, sp) -> np.ndarray:
+        def evaluate(start, stop):
+            sel = indices[start:stop]
+            return _evaluate_chunk(
+                game, pos[sel] if positional else None, coalitions[sel],
+                guarded, rows_per,
+            )
+
+        return _run_chunks(indices.shape[0], per_chunk, evaluate,
+                           chunk_retries, sp, rows_per, f"{game_name}.value")
 
     def v(coalitions: np.ndarray, positions: np.ndarray | None = None
           ) -> np.ndarray:
@@ -238,48 +194,17 @@ def game_value_function(
                 sp.set_attr("cache_misses", n_c)
                 return out
             keys = np.packbits(coalitions, axis=1)
-            out = np.empty(n_c, dtype=float)
-            fresh_rows: list[int] = []
-            followers: dict[bytes, list[int]] = {}
-            hits = 0
-            for i in range(n_c):
+            if positional:
                 # Position-seeded games key the cache by (position, mask):
                 # the same mask at a different walk position draws
                 # different samples and must not collide. The position is
                 # global (== the batch row unless the caller overrode it).
-                key = (
-                    int(pos[i]).to_bytes(4, "little") + keys[i].tobytes()
-                    if positional
-                    else keys[i].tobytes()
-                )
-                known = store.values.get(key)
-                if known is not None:
-                    out[i] = known
-                    hits += 1
-                elif key in followers:
-                    followers[key].append(i)
-                    hits += 1
-                else:
-                    followers[key] = [i]
-                    fresh_rows.append(i)
-            if fresh_rows:
-                idx = np.asarray(fresh_rows)
-                vals = _evaluate(idx, coalitions, pos, sp)
-                # Commit only after the whole evaluation succeeded, so a
-                # failed chunk can never leave corrupt values behind.
-                for j, i0 in enumerate(fresh_rows):
-                    key = (
-                        int(pos[i0]).to_bytes(4, "little") + keys[i0].tobytes()
-                        if positional
-                        else keys[i0].tobytes()
-                    )
-                    store.values[key] = vals[j]
-                    for i in followers[key]:
-                        out[i] = vals[j]
-            store.record(hits, len(fresh_rows))
-            sp.set_attr("cache_hits", hits)
-            sp.set_attr("cache_misses", len(fresh_rows))
-            return out
+                prefix = pos.astype("<u4").view(np.uint8).reshape(n_c, 4)
+                keys = np.concatenate([prefix, keys], axis=1)
+            return _cached_values(
+                keys, store,
+                lambda rows: _evaluate(rows, coalitions, pos, sp), sp,
+            )
 
     v.cache = store
     v.game = game

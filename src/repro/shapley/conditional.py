@@ -19,13 +19,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.base import AttributionExplainer
-from ..core.coalition_engine import CoalitionValueCache, batched_predict
+from ..core.base import PlanExplainer
+from ..core.coalition_engine import (
+    CoalitionValueCache,
+    _cached_values,
+    batched_predict,
+)
 from ..core.explanation import FeatureAttribution
-from ..games.engine import amortized_plan_values
-from ..games.plan import mean_walks_reduce, permutation_plan, shared_plan
-from ..robust.guard import check_instance
-from .sampling import permutation_shapley
+from ..games.plan import (
+    mean_walks_reduce,
+    permutation_plan,
+    plan_values,
+    shared_plan,
+)
+from ..obs.trace import span
 
 __all__ = ["empirical_conditional_value_function", "ConditionalShapExplainer"]
 
@@ -47,8 +54,8 @@ def empirical_conditional_value_function(
     selection, no sampling), so repeated masks are served from a
     packed-bit coalition-value cache by default — permutation walks
     re-visit the same prefixes constantly. Fresh masks have their k
-    neighbor rows stacked into one memory-bounded model call. Pass
-    ``cache=False`` for a stochastic variant of this value function.
+    neighbor rows stacked into one memory-bounded model call.
+    ``cache=False`` evaluates every mask as given.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     x = np.asarray(x, dtype=float).ravel()
@@ -66,68 +73,46 @@ def empirical_conditional_value_function(
 
     def v(masks: np.ndarray) -> np.ndarray:
         masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-        n_m = masks.shape[0]
-        keys = np.packbits(masks, axis=1)
-        out = np.zeros(n_m)
-        blocks: list[np.ndarray] = []
-        # Rows each pending block must fill: a shared (mutable) follower
-        # list in cached mode so intra-call duplicates ride along, a
-        # singleton per occurrence when caching is off.
-        block_targets: list[list[int]] = []
-        block_keys: list[bytes] = []
-        followers: dict[bytes, list[int]] = {}
-        hits = 0
-        for row, mask in enumerate(masks):
-            key = keys[row].tobytes()
-            if store is not None:
-                known = store.values.get(key)
-                if known is not None:
-                    out[row] = known
-                    hits += 1
-                    continue
-                if key in followers:
-                    followers[key].append(row)
-                    hits += 1
-                    continue
-            targets = [row]
-            if store is not None:
-                followers[key] = targets
-            if not mask.any():
-                value = float(
-                    np.mean(batched_predict(predict_fn, data, max_batch_rows))
+
+        def evaluate(rows):
+            out = np.empty(len(rows))
+            fresh: list[int] = []
+            for j, mask in enumerate(masks[rows]):
+                if not mask.any():
+                    out[j] = float(np.mean(
+                        batched_predict(predict_fn, data, max_batch_rows)
+                    ))
+                elif mask.all():
+                    out[j] = float(predict_fn(x[None, :])[0])
+                else:
+                    fresh.append(j)
+            if fresh:
+                # Every other mask's k neighbor rows in one stacked call.
+                preds = batched_predict(
+                    predict_fn,
+                    np.concatenate([_neighbor_rows(masks[rows[j]])
+                                    for j in fresh]),
+                    max_batch_rows,
                 )
-                out[row] = value
-                if store is not None:
-                    store.values[key] = value
-                continue
-            if mask.all():
-                value = float(predict_fn(x[None, :])[0])
-                out[row] = value
-                if store is not None:
-                    store.values[key] = value
-                continue
-            blocks.append(_neighbor_rows(mask))
-            block_targets.append(targets)
-            block_keys.append(key)
-        if blocks:
-            preds = batched_predict(
-                predict_fn, np.concatenate(blocks), max_batch_rows
-            )
-            means = preds.reshape(len(blocks), k).mean(axis=1)
-            for targets, key, value in zip(block_targets, block_keys, means):
-                out[targets] = float(value)
-                if store is not None:
-                    store.values[key] = float(value)
-        if store is not None:
-            store.record(hits, n_m - hits)
-        return out
+                out[fresh] = preds.reshape(len(fresh), k).mean(axis=1)
+            return out
+
+        if store is None:
+            return evaluate(np.arange(masks.shape[0]))
+        return _cached_values(np.packbits(masks, axis=1), store, evaluate)
 
     v.cache = store
     return v
 
 
-class ConditionalShapExplainer(AttributionExplainer):
+class ConditionalShapExplainer(PlanExplainer):
     """Shapley values of the empirical conditional-expectation game.
+
+    Attributions are bitwise :func:`repro.shapley.permutation_shapley`
+    over :func:`empirical_conditional_value_function`: the seeded walks'
+    distinct coalitions come from a shared
+    :class:`repro.games.plan.CoalitionPlan` and are evaluated once per
+    row in one stacked model call.
 
     Parameters
     ----------
@@ -154,46 +139,18 @@ class ConditionalShapExplainer(AttributionExplainer):
     ) -> None:
         super().__init__(model, output, guard=guard)
         self.data = np.atleast_2d(np.asarray(data, dtype=float))
+        self.n_features = self.data.shape[1]
         self.k = k
         self.n_permutations = n_permutations
         self.seed = seed
         self.max_batch_rows = max_batch_rows
 
-    def explain(self, x: np.ndarray, feature_names: list[str] | None = None
-                ) -> FeatureAttribution:
-        x = check_instance(x, self.data.shape[1])
-        n = x.shape[0]
-        v = empirical_conditional_value_function(
-            self.predict_fn, self.data, x, k=self.k,
-            max_batch_rows=self.max_batch_rows,
-        )
-        # Prediction and base value first, so a budget exhausted during
-        # sampling still yields a reportable partial estimate.
-        prediction = float(self.predict_fn(x[None, :])[0])
-        base = float(v(np.zeros((1, n), dtype=bool))[0])
-        phi, std_err, convergence = permutation_shapley(
-            v, n, n_permutations=self.n_permutations, seed=self.seed,
-            return_diagnostics=True,
-        )
-        names = feature_names or [f"x{i}" for i in range(n)]
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=base,
-            prediction=prediction,
-            method=self.method_name,
-            meta={"std_err": std_err, "k": self.k, "convergence": convergence},
-        )
-
-    # -- amortized batch path (shared coalition plan) ----------------------
-
     def _amortized_context(self, X: np.ndarray, feature_names=None):
         """Shared walk plan plus the row-independent ∅ value.
 
         v(∅) is the mean prediction over the reference sample — the
-        same number for every row — so it is computed once here and
-        seeded into each row's value cache instead of re-averaging the
-        whole dataset per row.
+        same number for every row — so it is computed once here instead
+        of re-averaging the whole dataset per row.
         """
         n = X.shape[1]
         key = ("permutation", n, self.n_permutations, True, self.seed)
@@ -211,45 +168,54 @@ class ConditionalShapExplainer(AttributionExplainer):
         return plan, empty_value
 
     def _amortized_rows(self, X, lo, hi, ctx, feature_names=None):
-        """Rows ``[lo, hi)``: every unique coalition in one fused call.
+        """Rows ``[lo, hi)``: every unique coalition in one stacked call.
 
         The conditional value function is deterministic in the mask, so
         evaluating the plan's deduplicated masks once per row and
         gathering through ``value_index`` reproduces exactly the cached
-        per-walk values the serial estimator saw.
+        per-walk values. ∅ is the plan's first unique mask (walk 0
+        starts there) and comes from the context; under a query budget
+        the grand coalition costs one row and every other mask ``k``
+        (see :func:`repro.games.plan.plan_values`).
         """
         plan, empty_value = ctx
         rows = X[lo:hi]
         n = X.shape[1]
+        k = min(self.k, self.data.shape[0])
+        unit_rows = np.where(plan.unique_masks.all(axis=1), 1, k)
+        unit_rows[plan.empty_index] = 0
         names = feature_names or [f"x{i}" for i in range(n)]
-        empty_key = np.packbits(np.zeros(n, dtype=bool)).tobytes()
-        pair = self.n_permutations > 1
-        n_batches = self.n_permutations // 2 if pair else self.n_permutations
-        convergence = {
-            "converged": True,
-            "n_walks_completed": plan.n_walks,
-            "n_walks_requested": n_batches * (2 if pair else 1),
-            "budget_error": None,
-        }
         out = []
-        for r in range(rows.shape[0]):
-            x = rows[r]
+        for x in rows:
+            prediction = float(self.predict_fn(x[None, :])[0])
             v = empirical_conditional_value_function(
-                self.predict_fn, self.data, x, k=self.k,
+                self.predict_fn, self.data, x, k=self.k, cache=False,
                 max_batch_rows=self.max_batch_rows,
             )
-            v.cache.values[empty_key] = empty_value
-            prediction = float(self.predict_fn(x[None, :])[0])
-            vals = amortized_plan_values(v, plan)
-            walk_values = vals[plan.value_index]
-            phi, std_err = mean_walks_reduce(walk_values, plan.walk_perms)
+
+            def evaluate(a, b, v=v):
+                with span("coalition_eval", n_coalitions=b - a,
+                          game="plan", amortized=True):
+                    head = [empty_value] if a == 0 else []
+                    masks = plan.unique_masks[max(a, 1):b]
+                    tail = v(masks) if masks.shape[0] else []
+                    return np.concatenate([head, tail])[None]
+
+            values, n_walks, error = plan_values(
+                evaluate, plan.walk_ends, unit_rows
+            )
+            plan.record_lookups(1, n_walks)
+            phi, std_err = mean_walks_reduce(
+                values[0][plan.value_index[:n_walks]],
+                plan.walk_perms[:n_walks],
+            )
             out.append(FeatureAttribution(
                 values=phi,
                 feature_names=names,
-                base_value=float(vals[plan.empty_index]),
+                base_value=empty_value,
                 prediction=prediction,
                 method=self.method_name,
                 meta={"std_err": std_err, "k": self.k,
-                      "convergence": dict(convergence)},
+                      "convergence": plan.convergence(n_walks, error)},
             ))
         return out

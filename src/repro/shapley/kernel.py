@@ -24,17 +24,15 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.base import AttributionExplainer
+from ..core.base import PlanExplainer
 from ..core.explanation import FeatureAttribution
 from ..core.sampling import MaskingSampler
-from ..games.adapters import FeatureMaskingGame
 from ..games.estimators import (
     kernel_wls_estimator,
     shapley_kernel_weight,
     solve_kernel_wls,
 )
 from ..games.plan import kernel_plan, shared_plan
-from ..robust.guard import check_instance
 
 __all__ = ["kernel_shap", "shapley_kernel_weight", "KernelShapExplainer"]
 
@@ -61,8 +59,16 @@ def kernel_shap(
     )
 
 
-class KernelShapExplainer(AttributionExplainer):
+class KernelShapExplainer(PlanExplainer):
     """Model-agnostic Kernel SHAP with the interventional value function.
+
+    The coalition design (rows and kernel weights, the seeded draw of
+    :func:`kernel_shap`) is a shared :class:`repro.games.plan.CoalitionPlan`;
+    each explained row evaluates its distinct coalitions in one fused
+    grid and solves the same WLS step, so ``explain`` is bitwise
+    :func:`kernel_shap` over the cached masking game. Under a guard
+    budget the design is all-or-nothing: a design that does not fit
+    raises :class:`repro.robust.BudgetExceededError`.
 
     Parameters
     ----------
@@ -72,10 +78,6 @@ class KernelShapExplainer(AttributionExplainer):
         Coalition evaluation budget per explanation.
     max_batch_rows:
         Memory bound on rows per model call (see the coalition engine).
-    engine:
-        ``True`` (default) evaluates coalitions through the vectorized,
-        cached coalition engine; ``False`` keeps the pre-engine loop path
-        (used by E37 for the old-vs-new comparison).
     """
 
     method_name = "kernel_shap"
@@ -89,61 +91,15 @@ class KernelShapExplainer(AttributionExplainer):
         output: str = "auto",
         seed: int = 0,
         max_batch_rows: int | None = None,
-        engine: bool = True,
         guard=None,
-        backend: str | None = None,
-        n_procs: int | None = None,
     ) -> None:
         super().__init__(model, output, guard=guard)
         self.sampler = MaskingSampler(
             background, max_background=max_background, max_batch_rows=max_batch_rows
         )
+        self.n_features = self.sampler.background.shape[1]
         self.n_samples = n_samples
         self.seed = seed
-        self.engine = engine
-        self.backend = backend
-        self.n_procs = n_procs
-
-    def explain(self, x: np.ndarray, feature_names: list[str] | None = None
-                ) -> FeatureAttribution:
-        x = check_instance(x, self.sampler.background.shape[1])
-        n = x.shape[0]
-        # Engine path: hand the game object to the estimator so the exec
-        # backend can read its shardability; it evaluates through the
-        # exact same engine value function as the bare callable did.
-        game = (
-            FeatureMaskingGame(self.predict_fn, x, engine=self.sampler)
-            if self.engine
-            else None
-        )
-        v = (
-            game.value
-            if game is not None
-            else self.sampler.legacy_value_function(self.predict_fn, x)
-        )
-        prediction = float(self.predict_fn(x[None, :])[0])
-        phi, base = kernel_shap(
-            game if game is not None else v, n,
-            n_samples=self.n_samples, seed=self.seed,
-            backend=self.backend, n_procs=self.n_procs,
-        )
-        names = feature_names or [f"x{i}" for i in range(n)]
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=base,
-            prediction=prediction,
-            method=self.method_name,
-            meta={"n_samples": self.n_samples},
-        )
-
-    # -- amortized batch path (shared coalition plan) ----------------------
-
-    def _amortized_supported(self) -> bool:
-        # n == 1 takes the estimator's closed-form two-point shortcut,
-        # and the legacy (engine-off) path predates the cache semantics
-        # the plan mirrors — both stay per-row.
-        return bool(self.engine) and self.sampler.background.shape[1] > 1
 
     def _amortized_context(self, X: np.ndarray, feature_names=None):
         """One shared Kernel SHAP design per (n, budget, seed)."""
@@ -159,32 +115,39 @@ class KernelShapExplainer(AttributionExplainer):
     def _amortized_rows(self, X, lo, hi, plan, feature_names=None):
         """Rows ``[lo, hi)``: one fused value grid, one WLS solve per row.
 
-        The coalition design (rows *and* kernel weights) is the per-row
+        The coalition design (rows *and* kernel weights) is the
         estimator's own seeded draw, so feeding each row's fused values
-        into the identical :func:`solve_kernel_wls` step reproduces the
-        serial ``explain`` bitwise.
+        into the identical :func:`solve_kernel_wls` step reproduces
+        :func:`kernel_shap` bitwise; one player takes its closed form
+        ``v(N) − v(∅)``, as the estimator does.
         """
         rows = X[lo:hi]
         n = X.shape[1]
+        predictions = [float(self.predict_fn(x[None, :])[0]) for x in rows]
         values = self.sampler.batch_value_matrix(
             self.predict_fn, rows, plan.unique_masks
         )
+        plan.record_lookups(rows.shape[0])
         names = feature_names or [f"x{i}" for i in range(n)]
         idx = plan.value_index
         out = []
         for r in range(rows.shape[0]):
-            prediction = float(self.predict_fn(rows[r][None, :])[0])
             row_vals = values[r]
             v_empty = float(row_vals[idx[0]])
             v_full = float(row_vals[idx[1]])
-            phi = solve_kernel_wls(
-                plan.masks, plan.weights, row_vals[idx[2:]], v_empty, v_full
+            phi = (
+                solve_kernel_wls(
+                    plan.masks, plan.weights, row_vals[idx[2:]], v_empty,
+                    v_full,
+                )
+                if n > 1
+                else np.array([v_full - v_empty])
             )
             out.append(FeatureAttribution(
                 values=phi,
                 feature_names=names,
                 base_value=v_empty,
-                prediction=prediction,
+                prediction=predictions[r],
                 method=self.method_name,
                 meta={"n_samples": self.n_samples},
             ))

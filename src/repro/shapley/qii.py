@@ -19,12 +19,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.base import AttributionExplainer
+from ..core.base import PlanExplainer
 from ..core.coalition_engine import batched_predict
 from ..core.explanation import FeatureAttribution
 from ..games.base import walk_masks
-from ..games.plan import mean_walks_reduce, permutation_plan, shared_plan
-from ..robust.guard import check_instance
+from ..games.plan import (
+    mean_walks_reduce,
+    permutation_plan,
+    plan_values,
+    shared_plan,
+)
 from .sampling import permutation_shapley
 
 __all__ = ["unary_qii", "set_qii", "shapley_qii", "QIIExplainer"]
@@ -149,12 +153,15 @@ def shapley_qii(
     return (phi, diagnostics) if return_diagnostics else phi
 
 
-class QIIExplainer(AttributionExplainer):
+class QIIExplainer(PlanExplainer):
     """Feature attribution via Shapley QII.
 
     Numerically this coincides with sampling SHAP under a factorized
     background; it is kept as a distinct explainer because QII predates
-    SHAP and the tutorial lists it separately (§2.1.2).
+    SHAP and the tutorial lists it separately (§2.1.2). Attributions are
+    bitwise :func:`shapley_qii`: the walks come from a shared
+    :class:`repro.games.plan.CoalitionPlan`, the interventions from the
+    row's own seeded stream, and each row's model queries are fused.
     """
 
     method_name = "shapley_qii"
@@ -165,34 +172,11 @@ class QIIExplainer(AttributionExplainer):
                  max_batch_rows: int | None = None, guard=None) -> None:
         super().__init__(model, output, guard=guard)
         self.background = np.atleast_2d(np.asarray(background, dtype=float))
+        self.n_features = self.background.shape[1]
         self.n_permutations = n_permutations
         self.n_samples = n_samples
         self.seed = seed
         self.max_batch_rows = max_batch_rows
-
-    def explain(self, x: np.ndarray, feature_names: list[str] | None = None
-                ) -> FeatureAttribution:
-        x = check_instance(x, self.background.shape[1])
-        prediction = float(self.predict_fn(x[None, :])[0])
-        phi, convergence = shapley_qii(
-            self.predict_fn, x, self.background,
-            n_permutations=self.n_permutations,
-            n_samples=self.n_samples,
-            seed=self.seed,
-            max_batch_rows=self.max_batch_rows,
-            return_diagnostics=True,
-        )
-        names = feature_names or [f"x{i}" for i in range(x.shape[0])]
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=prediction - float(phi.sum()),
-            prediction=prediction,
-            method=self.method_name,
-            meta={"convergence": convergence},
-        )
-
-    # -- amortized batch path (shared coalition plan) ----------------------
 
     def _amortized_context(self, X: np.ndarray, feature_names=None):
         """Share the walk schedule; interventions stay per-row.
@@ -218,40 +202,31 @@ class QIIExplainer(AttributionExplainer):
         walk_mask_seq = [walk_masks(p) for p in plan.walk_perms]
         return plan, walk_mask_seq
 
-    def _amortized_rows(self, X, lo, hi, ctx, feature_names=None):
-        plan, walk_mask_seq = ctx
-        rows = X[lo:hi]
-        n = X.shape[1]
-        names = feature_names or [f"x{i}" for i in range(n)]
-        pair = self.n_permutations > 1
-        n_batches = self.n_permutations // 2 if pair else self.n_permutations
-        convergence = {
-            "converged": True,
-            "n_walks_completed": plan.n_walks,
-            "n_walks_requested": n_batches * (2 if pair else 1),
-            "budget_error": None,
-        }
-        out = []
-        for r in range(rows.shape[0]):
-            x = rows[r]
-            prediction = float(self.predict_fn(x[None, :])[0])
-            # Fresh per-row generator, consumed in the serial mask
-            # order: every walk's masks, each mask's absent features in
-            # index order — the exact stream `shapley_qii` would draw.
-            rng = np.random.default_rng(self.seed)
-            values = np.empty((plan.n_walks, n + 1))
+    def _walk_values(self, x, prediction, walk_mask_seq, rng):
+        """``evaluate(lo, hi)`` over whole walks for :func:`plan_values`.
+
+        Draws interventions from ``rng`` in the serial mask order —
+        every walk's masks, each mask's absent features in index order,
+        the exact stream :func:`shapley_qii` consumes — so evaluating
+        walk ranges in order replays it. The grand coalition needs no
+        draw: its value is the prediction.
+        """
+        n = x.shape[0]
+
+        def evaluate(lo, hi):
+            values = np.empty((hi - lo, n + 1))
             blocks: list[np.ndarray] = []
             slots: list[tuple[int, int]] = []
-            for w, masks in enumerate(walk_mask_seq):
-                for k, mask in enumerate(masks):
+            for w in range(lo, hi):
+                for k, mask in enumerate(walk_mask_seq[w]):
                     absent = [j for j in range(n) if not mask[j]]
                     if not absent:
-                        values[w, k] = prediction
+                        values[w - lo, k] = prediction
                         continue
                     blocks.append(_resample_features(
                         x, self.background, absent, self.n_samples, rng
                     ))
-                    slots.append((w, k))
+                    slots.append((w - lo, k))
             if blocks:
                 preds = batched_predict(
                     self.predict_fn, np.concatenate(blocks),
@@ -260,13 +235,44 @@ class QIIExplainer(AttributionExplainer):
                 means = preds.reshape(len(slots), self.n_samples).mean(axis=1)
                 for (w, k), m in zip(slots, means):
                     values[w, k] = m
-            phi, __ = mean_walks_reduce(values, plan.walk_perms)
+            return values[None]
+
+        return evaluate
+
+    def _amortized_rows(self, X, lo, hi, ctx, feature_names=None):
+        """Rows ``[lo, hi)``: one fused model call per row.
+
+        Under a query budget a walk costs ``n · n_samples`` rows (every
+        mask but the grand coalition draws ``n_samples`` interventions);
+        the longest affordable walk prefix is returned as a partial
+        estimate (see :func:`repro.games.plan.plan_values`).
+        """
+        plan, walk_mask_seq = ctx
+        rows = X[lo:hi]
+        n = X.shape[1]
+        names = feature_names or [f"x{i}" for i in range(n)]
+        out = []
+        for x in rows:
+            prediction = float(self.predict_fn(x[None, :])[0])
+            # A fresh per-row generator: every row replays the stream
+            # `shapley_qii` would draw for it.
+            evaluate = self._walk_values(
+                x, prediction, walk_mask_seq,
+                np.random.default_rng(self.seed),
+            )
+            values, n_walks, error = plan_values(
+                evaluate,
+                np.arange(1, plan.n_walks + 1),
+                np.full(plan.n_walks, n * self.n_samples),
+            )
+            phi, __ = mean_walks_reduce(values[0][:n_walks],
+                                       plan.walk_perms[:n_walks])
             out.append(FeatureAttribution(
                 values=phi,
                 feature_names=names,
                 base_value=prediction - float(phi.sum()),
                 prediction=prediction,
                 method=self.method_name,
-                meta={"convergence": dict(convergence)},
+                meta={"convergence": plan.convergence(n_walks, error)},
             ))
         return out

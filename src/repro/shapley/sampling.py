@@ -13,14 +13,18 @@ roughly symmetric games. E2 plots exactly this convergence.
 
 The walk loop itself lives in the shared estimator suite
 (:func:`repro.games.estimators.permutation_estimator`, ``mean_walks``
-mode) — this module keeps the historical ``(phi, std_err)`` API and the
-explainer on top. The pre-games loop is retained as
-:func:`legacy_permutation_shapley` for the seeded-parity tests.
+mode) — :func:`permutation_shapley` keeps the historical
+``(phi, std_err)`` API on top of it for any value function. The
+explainer does not walk at all: it evaluates the seeded walks' unique
+coalitions once on a shared :class:`repro.games.plan.CoalitionPlan` and
+reduces them exactly as the walk loop would, bit for bit.
 
 Graceful degradation: when the guarded runtime's deadline or model-query
 budget runs out mid-estimate (:class:`repro.robust.BudgetExceededError`),
 the walks already completed still form an unbiased — just noisier —
 estimator, so the sampler stops early and returns it instead of raising.
+The walk loop stops at a walk boundary; the explainer stops at a
+walk-group boundary (see :func:`repro.games.plan.plan_values`).
 ``return_diagnostics=True`` exposes the convergence record the explainers
 surface in ``meta["convergence"]``.
 """
@@ -31,18 +35,19 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.base import AttributionExplainer
+from ..core.base import PlanExplainer
 from ..core.explanation import FeatureAttribution
 from ..core.sampling import MaskingSampler
-from ..games.adapters import FeatureMaskingGame
 from ..games.estimators import permutation_estimator
-from ..games.plan import mean_walks_reduce, permutation_plan, shared_plan
-from ..robust.errors import BudgetExceededError
-from ..robust.guard import check_instance
+from ..games.plan import (
+    mean_walks_reduce,
+    permutation_plan,
+    plan_values,
+    shared_plan,
+)
 
 __all__ = [
     "permutation_shapley",
-    "legacy_permutation_shapley",
     "SamplingShapleyExplainer",
 ]
 
@@ -86,65 +91,19 @@ def permutation_shapley(
     return est.values, est.std_err, est.diagnostics
 
 
-def legacy_permutation_shapley(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    n_players: int,
-    n_permutations: int = 100,
-    antithetic: bool = True,
-    seed: int = 0,
-    return_diagnostics: bool = False,
-) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, dict]:
-    """The pre-games walk loop, kept for the seeded bitwise-parity tests."""
-    rng = np.random.default_rng(seed)
-    contributions: list[np.ndarray] = []
-    n_batches = (
-        n_permutations // 2 if antithetic and n_permutations > 1 else n_permutations
-    )
-    walks_per_batch = 2 if antithetic and n_permutations > 1 else 1
-    budget_error: BudgetExceededError | None = None
-    for __ in range(n_batches):
-        perm = rng.permutation(n_players)  # games: allow
-        perms = [perm, perm[::-1]] if antithetic else [perm]
-        try:
-            for p in perms:
-                # One walk through the permutation = n+1 coalition evaluations.
-                masks = np.zeros((n_players + 1, n_players), dtype=bool)
-                for pos, player in enumerate(p):
-                    masks[pos + 1] = masks[pos]
-                    masks[pos + 1, player] = True
-                values = np.asarray(value_fn(masks), dtype=float)
-                contrib = np.zeros(n_players)
-                contrib[p] = values[1:] - values[:-1]
-                contributions.append(contrib)
-        except BudgetExceededError as e:
-            if not contributions:
-                raise
-            budget_error = e
-            break
-    stacked = np.stack(contributions)
-    phi = stacked.mean(axis=0)
-    std_err = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0]) \
-        if stacked.shape[0] > 1 else np.zeros(n_players)
-    if not return_diagnostics:
-        return phi, std_err
-    diagnostics = {
-        "converged": budget_error is None,
-        "n_walks_completed": len(contributions),
-        "n_walks_requested": n_batches * walks_per_batch,
-        "budget_error": None if budget_error is None else str(budget_error),
-    }
-    return phi, std_err, diagnostics
-
-
-class SamplingShapleyExplainer(AttributionExplainer):
+class SamplingShapleyExplainer(PlanExplainer):
     """Model-agnostic sampled SHAP with the interventional value function.
 
-    Coalition evaluation runs through the shared coalition engine by
-    default (as a :class:`repro.games.FeatureMaskingGame`): permutation
-    walks re-visit many coalitions (every walk hits ∅ and N; antithetic
-    pairs and short prefixes collide constantly on small feature
-    counts), and the packed-bit value cache turns those repeats into
-    dictionary lookups instead of model queries.
+    Permutation walks re-visit many coalitions (every walk hits ∅ and N;
+    antithetic pairs and short prefixes collide constantly on small
+    feature counts), so the seeded walks are drawn once into a shared
+    :class:`repro.games.plan.CoalitionPlan` that keeps each distinct
+    coalition once. Every explained row evaluates those coalitions in
+    one fused, chunked grid through the coalition engine
+    (:meth:`repro.core.coalition_engine.CoalitionEngine.batch_value_matrix`)
+    and reduces them walk by walk — bitwise the result of
+    :func:`permutation_shapley` over the cached masking game. Execution
+    backends are chosen per batch: ``explain_batch(backend=...)``.
     """
 
     method_name = "sampling_shap"
@@ -159,70 +118,16 @@ class SamplingShapleyExplainer(AttributionExplainer):
         output: str = "auto",
         seed: int = 0,
         max_batch_rows: int | None = None,
-        engine: bool = True,
         guard=None,
-        backend: str | None = None,
-        n_procs: int | None = None,
     ) -> None:
         super().__init__(model, output, guard=guard)
         self.sampler = MaskingSampler(
             background, max_background=max_background, max_batch_rows=max_batch_rows
         )
+        self.n_features = self.sampler.background.shape[1]
         self.n_permutations = n_permutations
         self.antithetic = antithetic
         self.seed = seed
-        self.engine = engine
-        self.backend = backend
-        self.n_procs = n_procs
-
-    def explain(self, x: np.ndarray, feature_names: list[str] | None = None
-                ) -> FeatureAttribution:
-        x = check_instance(x, self.sampler.background.shape[1])
-        n = x.shape[0]
-        # The engine path hands the *game object* to the estimator (not
-        # its bound value method): the estimator resolves either to the
-        # identical value path, but only the game form carries the
-        # deterministic/shardable capabilities the exec backend gates on.
-        game = (
-            FeatureMaskingGame(self.predict_fn, x, engine=self.sampler)
-            if self.engine
-            else None
-        )
-        v = (
-            game.value
-            if game is not None
-            else self.sampler.legacy_value_function(self.predict_fn, x)
-        )
-        # Prediction and base value come first: if the query budget runs
-        # out mid-sampling, the partial estimate is still reportable.
-        prediction = float(self.predict_fn(x[None, :])[0])
-        base = float(v(np.zeros((1, n), dtype=bool))[0])
-        phi, std_err, convergence = permutation_shapley(
-            game if game is not None else v, n,
-            n_permutations=self.n_permutations,
-            antithetic=self.antithetic,
-            seed=self.seed,
-            return_diagnostics=True,
-            backend=self.backend,
-            n_procs=self.n_procs,
-        )
-        names = feature_names or [f"x{i}" for i in range(n)]
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=base,
-            prediction=prediction,
-            method=self.method_name,
-            meta={"std_err": std_err, "n_permutations": self.n_permutations,
-                  "convergence": convergence},
-        )
-
-    # -- amortized batch path (shared coalition plan) ----------------------
-
-    def _amortized_supported(self) -> bool:
-        # The legacy (engine-off) value path predates the coalition
-        # cache whose dedup semantics the plan mirrors; keep it per-row.
-        return bool(self.engine)
 
     def _amortized_context(self, X: np.ndarray, feature_names=None):
         """One shared permutation plan per (n, budget, seed) design."""
@@ -247,37 +152,36 @@ class SamplingShapleyExplainer(AttributionExplainer):
         Every distinct coalition the walk schedule visits is evaluated
         once per row through the engine's fused ``rows × coalitions``
         grid; gathering through ``plan.value_index`` then reproduces the
-        per-walk value sequences the serial estimator saw — including
-        its cache-dedup semantics — so the reduction is bitwise the
-        serial ``explain``.
+        per-walk value sequences a cached walk loop sees, so the
+        reduction is bitwise :func:`permutation_shapley` over the
+        masking game — including its budget partials (prediction first,
+        then the longest walk prefix the budget affords).
         """
         rows = X[lo:hi]
         n = X.shape[1]
-        values = self.sampler.batch_value_matrix(
-            self.predict_fn, rows, plan.unique_masks
+        predictions = [float(self.predict_fn(x[None, :])[0]) for x in rows]
+        values, n_walks, error = plan_values(
+            lambda a, b: self.sampler.batch_value_matrix(
+                self.predict_fn, rows, plan.unique_masks[a:b]
+            ),
+            plan.walk_ends,
+            np.full(plan.n_unique, self.sampler.n_background),
+            n_rows=rows.shape[0],
         )
+        plan.record_lookups(rows.shape[0], n_walks)
+        convergence = plan.convergence(n_walks, error)
+        value_index = plan.value_index[:n_walks]
         names = feature_names or [f"x{i}" for i in range(n)]
-        # Same requested-walk arithmetic as the estimator's diagnostics
-        # (completed is the actual walk count, which exceeds requested
-        # in the lone-antithetic-permutation edge case there too).
-        pair = self.antithetic and self.n_permutations > 1
-        n_batches = self.n_permutations // 2 if pair else self.n_permutations
-        convergence = {
-            "converged": True,
-            "n_walks_completed": plan.n_walks,
-            "n_walks_requested": n_batches * (2 if pair else 1),
-            "budget_error": None,
-        }
         out = []
         for r in range(rows.shape[0]):
-            prediction = float(self.predict_fn(rows[r][None, :])[0])
-            walk_values = values[r][plan.value_index]
-            phi, std_err = mean_walks_reduce(walk_values, plan.walk_perms)
+            phi, std_err = mean_walks_reduce(
+                values[r][value_index], plan.walk_perms[:n_walks]
+            )
             out.append(FeatureAttribution(
                 values=phi,
                 feature_names=names,
                 base_value=float(values[r][plan.empty_index]),
-                prediction=prediction,
+                prediction=predictions[r],
                 method=self.method_name,
                 meta={"std_err": std_err,
                       "n_permutations": self.n_permutations,

@@ -6,8 +6,9 @@ Covers the perf-engine contract end to end:
 * the packed-bit value cache dedupes within and across calls and exports
   hit/miss counters through ``repro.obs.metrics``;
 * chunking bounds rows-per-call without changing results;
-* seeded attributions from kernel SHAP, sampling SHAP and QII are
-  numerically identical between the legacy path and the engine path;
+* seeded attributions from kernel SHAP and sampling SHAP (one plan
+  path) are bitwise the per-walk oracle's, and QII / conditional value
+  functions match their pre-engine loops;
 * parallel ``explain_batch(n_jobs=2)`` matches serial output row-for-row
   and keeps span accounting intact.
 """
@@ -21,7 +22,6 @@ from repro.core.coalition_engine import (
     CoalitionEngine,
     batched_predict,
     broadcast_expand,
-    legacy_expand,
     resolve_max_batch_rows,
 )
 from repro.core.sampling import MaskingSampler
@@ -34,6 +34,12 @@ from repro.shapley.qii import _resample_features
 from repro.shapley.sampling import permutation_shapley
 from repro.shapley.conditional import empirical_conditional_value_function
 from repro.surrogate import LimeTabularExplainer
+from tests.oracles.coalition_walk import (
+    kernel_explain,
+    legacy_expand,
+    legacy_value_function,
+    sampling_explain,
+)
 
 
 def _random_setup(seed=0, n_c=40, n_b=17, d=9):
@@ -133,8 +139,44 @@ class TestValueCache:
         engine = CoalitionEngine(background)
         fn = lambda X: np.tanh(X @ np.linspace(-1, 1, X.shape[1]))
         v_new = engine.value_function(fn, x)
-        v_old = engine.legacy_value_function(fn, x)
+        v_old = legacy_value_function(engine, fn, x)
         assert np.array_equal(v_new(coalitions), v_old(coalitions))
+
+    def test_dedupe_keeps_first_occurrence_order(self):
+        """One evaluation per distinct uncached key, asked for in
+        first-occurrence order; plans dedupe in the same order."""
+        from repro.core.coalition_engine import (
+            CoalitionValueCache,
+            _cached_values,
+        )
+        from repro.games.plan import _dedup_masks
+
+        n_rows = 200
+        rng = np.random.default_rng(n_rows)
+        masks = rng.random((n_rows, 11)) < 0.3
+        keys = np.packbits(masks, axis=1)
+        slots: dict[bytes, int] = {}
+        expected = [slots.setdefault(k.tobytes(), len(slots)) for k in keys]
+        first_rows = [expected.index(j) for j in range(len(slots))]
+        unique, index = _dedup_masks([masks[:50], masks[50:]])
+        assert np.array_equal(unique, masks[first_rows])
+        assert index.tolist() == expected
+
+        # Row 0's key is cached: it and its repeats come from the store.
+        store = CoalitionValueCache()
+        store.values[keys[0].tobytes()] = -1.0
+        asked = []
+
+        def evaluate(rows):
+            asked.append(list(rows))
+            return masks[rows].sum(axis=1) * 1.0
+
+        out = _cached_values(keys, store, evaluate)
+        truth = np.where(np.array(expected) == 0, -1.0, masks.sum(axis=1))
+        assert np.array_equal(out, truth)
+        assert asked == [first_rows[1:]]
+        assert store.misses == len(first_rows) - 1
+        assert store.hits == n_rows - store.misses
 
 
 class TestChunking:
@@ -196,15 +238,15 @@ def loan_model(loan_data):
 
 
 class TestSeededParity:
-    """Engine path == legacy path, bit for bit, at the same seed."""
+    """Plan path == per-walk oracle, bit for bit, at the same seed."""
 
     def test_kernel_shap_parity(self, loan_data, loan_model):
         x = loan_data.X[3]
         kwargs = dict(n_samples=80, max_background=40, seed=5)
         new = KernelShapExplainer(loan_model, loan_data.X, **kwargs).explain(x)
-        old = KernelShapExplainer(
-            loan_model, loan_data.X, engine=False, **kwargs
-        ).explain(x)
+        old = kernel_explain(
+            KernelShapExplainer(loan_model, loan_data.X, **kwargs), x
+        )
         assert np.array_equal(new.values, old.values)
         assert new.base_value == old.base_value
 
@@ -212,10 +254,11 @@ class TestSeededParity:
         x = loan_data.X[8]
         kwargs = dict(n_permutations=12, max_background=30, seed=2)
         new = SamplingShapleyExplainer(loan_model, loan_data.X, **kwargs).explain(x)
-        old = SamplingShapleyExplainer(
-            loan_model, loan_data.X, engine=False, **kwargs
-        ).explain(x)
+        old = sampling_explain(
+            SamplingShapleyExplainer(loan_model, loan_data.X, **kwargs), x
+        )
         assert np.array_equal(new.values, old.values)
+        assert np.array_equal(new.meta["std_err"], old.meta["std_err"])
         assert new.base_value == old.base_value
 
     def test_qii_parity_with_pre_engine_loop(self, loan_data, loan_model):

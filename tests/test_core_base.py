@@ -66,9 +66,9 @@ def test_raw_requires_decision_function():
         as_predict_fn(OnlyPredict(), output="raw")
 
 
-def test_explain_batch_matches_rowwise_explain(monkeypatch, loan_gbm,
-                                               loan_data):
+def test_explain_batch_matches_rowwise_explain(loan_gbm, loan_data):
     from repro import obs
+    from repro.robust import GuardConfig
     from repro.shapley import KernelShapExplainer
 
     explainer = KernelShapExplainer(loan_gbm, loan_data.X[:20],
@@ -80,7 +80,7 @@ def test_explain_batch_matches_rowwise_explain(monkeypatch, loan_gbm,
         assert len(batch) == 3
         for row, attribution in zip(X, batch):
             single = explainer.explain(row)
-            assert np.allclose(attribution.values, single.values)
+            assert np.array_equal(attribution.values, single.values)
             assert attribution.base_value == single.base_value
 
         spans = obs.get_tracer().spans()
@@ -95,11 +95,14 @@ def test_explain_batch_matches_rowwise_explain(monkeypatch, loan_gbm,
         assert parent.model_evals > 0
         assert parent.rows_evaluated > 0
 
-        # With the shared-plan path disabled, the per-row loop is
-        # restored: child spans reappear and their counters roll up.
-        monkeypatch.setenv("REPRO_BATCH_PLAN", "0")
+        # With a per-row guard budget configured, every row gets its own
+        # scope: child spans reappear (each row a batch of one on the
+        # same plan path, so the same numbers) and their counters roll up.
+        budgeted = KernelShapExplainer(loan_gbm, loan_data.X[:20],
+                                       n_samples=32, seed=0,
+                                       guard=GuardConfig(query_budget=10**9))
         obs.get_tracer().reset()
-        looped = explainer.explain_batch(X)
+        looped = budgeted.explain_batch(X)
         for amortized_att, looped_att in zip(batch, looped):
             assert np.array_equal(amortized_att.values, looped_att.values)
         spans = obs.get_tracer().spans()

@@ -48,7 +48,7 @@ from repro.models.model_selection import train_test_split
 from repro.obs.metrics import counter, reset_metrics
 from repro.robust import GuardConfig, TransientModelError, guard_scope
 from repro.shapley import exact_shapley, kernel_shap, permutation_shapley
-from repro.shapley.sampling import legacy_permutation_shapley
+from tests.oracles.coalition_walk import legacy_permutation_shapley
 
 
 def _quadratic_game(n):
@@ -121,6 +121,28 @@ class TestGameProtocol:
         v(np.array([[True, False, False]] * 4))
         assert utility.calls == 4
         assert v.cache is None
+
+    def test_wrong_length_value_is_not_retried(self):
+        from repro.robust import ModelEvaluationError, OutputShapeError
+
+        calls = []
+
+        class Short:
+            n_players = 3
+            deterministic = False
+
+            def value(self, masks):
+                calls.append(masks.shape[0])
+                return np.zeros(masks.shape[0] - 1)
+
+        reset_metrics()
+        v = game_value_function(Short(), chunk_retries=3)
+        with pytest.raises(OutputShapeError, match="Short.value returned 1 "
+                           "values for 2 coalitions") as err:
+            v(np.array([[True, False, False], [False, True, True]]))
+        assert isinstance(err.value, ModelEvaluationError)
+        assert calls == [2]
+        assert counter("robust.chunk_retries").value == 0
 
 
 class _CountingValue:

@@ -470,3 +470,17 @@ def test_bench_compare_floors_stacked_tree_predict():
     found = compare.floor_shortfalls(
         {"E42_tree_predict": {"tree_predict_speedup": 1.2}})
     assert len(found) == 1 and "tree_predict_speedup" in found[0]
+
+
+def test_bench_compare_floors_single_row_explain():
+    """E42's batch-of-one explain must stay >=3x the per-walk oracle."""
+    compare = _load_script(BENCH_COMPARE, "bench_compare")
+    floors = compare.FLOORS["E42_amortized_batch"]
+    assert floors["sampling_single_speedup"] == 3.0
+    assert floors["sampling_speedup"] == 3.0
+    fresh = {"sampling_speedup": 20.0, "tree_speedup": 30.0,
+             "sampling_single_speedup": 9.0}
+    assert compare.floor_shortfalls({"E42_amortized_batch": fresh}) == []
+    found = compare.floor_shortfalls({"E42_amortized_batch": dict(
+        fresh, sampling_single_speedup=1.5)})
+    assert len(found) == 1 and "sampling_single_speedup" in found[0]
