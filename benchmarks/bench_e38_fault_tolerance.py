@@ -74,7 +74,7 @@ def test_e38_fault_tolerance(loan_setup):
     X_poisoned[3, 0] = np.nan
     failed_before = obs.counter("robust.rows_failed").value
     try:
-        clean.explain_batch(X_poisoned, n_jobs=2)
+        clean.explain_batch(X_poisoned, backend="thread", n_procs=2)
         rows_survived = -1  # unreachable: the poisoned row must fail
     except PartialBatchError as e:
         rows_survived = len(e.completed_indices)

@@ -22,10 +22,11 @@ Detection is a small per-function taint analysis, not a grep:
 
 Plain uses of ``rng.permutation`` — shuffling minibatch order, permuting
 rows for a baseline — do not accumulate per-player marginals and pass.
-The retained ``legacy_*`` parity implementations opt out with a trailing
-``# games: allow`` on the ``.permutation(...)`` line, and everything
-under ``src/repro/games/`` is exempt (that is where the one true loop
-lives).
+Everything under ``src/repro/games/`` is exempt (that is where the one
+true loop lives). Outside ``src/repro``, a trailing ``# games: allow``
+on the ``.permutation(...)`` line opts a reference loop out; inside it
+the marker is ignored, so a bespoke loop in the shipped package always
+fails (the pre-games reference loops live in ``tests/oracles/``).
 
 AST-based, so strings and comments cannot trip it. Exit status 0 when
 clean, 1 with a ``path:line reason`` listing otherwise. Enforced in
@@ -40,6 +41,7 @@ import sys
 
 ALLOW_MARKER = "# games: allow"
 _EXEMPT_DIR = os.sep + os.path.join("repro", "games") + os.sep
+_PACKAGE_DIR = os.sep + os.path.join("src", "repro") + os.sep
 
 
 def _contains_permutation_call(node: ast.AST) -> int | None:
@@ -175,7 +177,11 @@ def _scope_violations(body: list[ast.stmt]) -> list[tuple[int, str]]:
 
 
 def find_violations(path: str) -> list[tuple[int, str]]:
-    """``(line, reason)`` pairs for one Python file."""
+    """``(line, reason)`` pairs for one Python file.
+
+    ``ALLOW_MARKER`` is honoured only outside ``src/repro``.
+    """
+    honour_marker = _PACKAGE_DIR not in os.path.abspath(path)
     with open(path, encoding="utf-8") as f:
         source = f.read()
     tree = ast.parse(source, filename=path)
@@ -190,7 +196,7 @@ def find_violations(path: str) -> list[tuple[int, str]]:
     for body in scopes:
         for line, reason in _scope_violations(body):
             line_text = lines[line - 1] if line <= len(lines) else ""
-            if ALLOW_MARKER in line_text:
+            if honour_marker and ALLOW_MARKER in line_text:
                 continue
             out.append((line, reason))
     return sorted(set(out))
@@ -225,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     if found:
         sys.stderr.write(
             "bespoke Shapley permutation loop found (route it through "
-            "repro.games.permutation_estimator, or mark a retained legacy "
-            f"implementation with `{ALLOW_MARKER}`):\n"
+            "repro.games.permutation_estimator; reference loops belong "
+            "in tests/oracles/):\n"
         )
         for offence in found:
             sys.stderr.write(f"  {offence}\n")

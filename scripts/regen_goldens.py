@@ -120,6 +120,8 @@ def case_tuple_shapley(backend: str | None = None):
 
 
 def case_causal_shapley(backend: str | None = None):
+    # InterventionalGame steps a global seed counter and always runs
+    # serially, so the explainer takes no backend and the knob is a no-op.
     from repro.causal.causal_shapley import CausalShapleyExplainer
     from repro.causal.scm import StructuralCausalModel, linear_mechanism
 
@@ -133,7 +135,7 @@ def case_causal_shapley(backend: str | None = None):
     model = lambda X: np.atleast_2d(X) @ np.array([1.0, 0.5, 2.0])
     explainer = CausalShapleyExplainer(model, scm, ["a", "b", "c"],
                                        n_permutations=8, n_samples=60,
-                                       seed=2, backend=backend, n_procs=2)
+                                       seed=2)
     return explainer.explain(np.array([1.0, 2.0, 0.5]))
 
 

@@ -18,9 +18,9 @@ shows where the two disagree.
 
 The walk (two SCM expectations per step, a global seed counter, the
 direct/indirect ledger) lives in :class:`repro.games.InterventionalGame`
-and is driven by the shared permutation estimator (``engine=True``, the
-default); ``engine=False`` keeps the pre-games loop for the parity
-tests.
+and is driven by the shared permutation estimator. The game steps a
+global seed counter, so evaluation order is part of its semantics and
+it always runs serially.
 """
 
 from __future__ import annotations
@@ -51,15 +51,6 @@ class CausalShapleyExplainer:
     n_permutations, n_samples:
         Monte-Carlo budgets: orderings sampled, and SCM draws per
         expectation.
-    engine:
-        ``True`` (default) runs the walks through the shared games
-        estimator; ``False`` keeps the pre-games loop.
-    backend:
-        Accepted for API symmetry with the other explainers and
-        forwarded to the estimator, but
-        :class:`~repro.games.InterventionalGame` steps a global seed
-        counter (evaluation order is part of its semantics), so it is
-        never sharded — every backend produces the serial walk order.
     """
 
     method_name = "causal_shapley"
@@ -72,9 +63,6 @@ class CausalShapleyExplainer:
         n_permutations: int = 40,
         n_samples: int = 400,
         seed: int = 0,
-        engine: bool = True,
-        backend: str | None = None,
-        n_procs: int | None = None,
     ) -> None:
         from ..core.base import as_predict_fn
 
@@ -84,77 +72,10 @@ class CausalShapleyExplainer:
         self.n_permutations = n_permutations
         self.n_samples = n_samples
         self.seed = seed
-        self.engine = engine
-        self.backend = backend
-        self.n_procs = n_procs
-
-    def _expectation(
-        self,
-        interventions: dict[str, float],
-        plug_in: dict[int, float],
-        seed: int,
-    ) -> float:
-        """E[f(X̃)] where X ~ do(interventions) and X̃ overrides columns.
-
-        ``plug_in`` replaces model-input columns *without* intervening in
-        the SCM — the device that separates direct from indirect effects.
-        """
-        values = self.scm.sample(self.n_samples, seed=seed,
-                                 interventions=interventions)
-        X = np.column_stack([values[name] for name in self.feature_order])
-        for j, value in plug_in.items():
-            X[:, j] = value
-        return float(np.mean(self.predict_fn(X)))
 
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
         x = np.asarray(x, dtype=float).ravel()
-        n = x.shape[0]
-        if self.engine:
-            return self._explain_games(x, feature_names)
-        rng = np.random.default_rng(self.seed)
-        phi_direct = np.zeros(n)
-        phi_indirect = np.zeros(n)
-        counter = 0
-        for __ in range(self.n_permutations):
-            perm = rng.permutation(n)  # games: allow
-            coalition: dict[str, float] = {}
-            plugged: dict[int, float] = {}
-            v_prev = self._expectation(coalition, plugged, seed=self.seed + counter)
-            counter += 1
-            for player in perm:
-                name = self.feature_order[player]
-                # Direct: plug x_i into the model under the old intervention.
-                v_direct = self._expectation(
-                    coalition, {**plugged, player: float(x[player])},
-                    seed=self.seed + counter,
-                )
-                counter += 1
-                # Full: actually intervene, shifting descendants too.
-                coalition[name] = float(x[player])
-                plugged[player] = float(x[player])
-                v_full = self._expectation(
-                    coalition, plugged, seed=self.seed + counter
-                )
-                counter += 1
-                phi_direct[player] += v_direct - v_prev
-                phi_indirect[player] += v_full - v_direct
-                v_prev = v_full
-        phi_direct /= self.n_permutations
-        phi_indirect /= self.n_permutations
-        phi = phi_direct + phi_indirect
-        base = self._expectation({}, {}, seed=self.seed + counter)
-        names = feature_names or self.feature_order
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=base,
-            prediction=float(self.predict_fn(x[None, :])[0]),
-            method=self.method_name,
-            meta={"direct": phi_direct, "indirect": phi_indirect},
-        )
-
-    def _explain_games(self, x, feature_names) -> FeatureAttribution:
         game = InterventionalGame(
             self.scm, self.predict_fn, self.feature_order, x,
             n_samples=self.n_samples, seed=self.seed,
@@ -165,12 +86,11 @@ class CausalShapleyExplainer:
             antithetic=False,
             seed=self.seed,
             aggregate="sum_counts",
-            backend=self.backend,
-            n_procs=self.n_procs,
         )
-        # The direct/indirect ledger is the legacy accumulation order:
+        # The direct/indirect ledger fixes the accumulation order:
         # summing the halves (not est.values' whole-step differences)
-        # keeps the published values bitwise identical to the old loop.
+        # keeps the published values bitwise identical to the
+        # per-step loop the parity tests replay.
         phi_direct = game.direct_sums / self.n_permutations
         phi_indirect = game.indirect_sums / self.n_permutations
         phi = phi_direct + phi_indirect

@@ -338,11 +338,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker count for the thread/process backends, -1 = all "
              "cores (sets REPRO_N_PROCS)",
     )
-    parser.add_argument(
-        "--no-coalition-cache", action="store_true",
-        help="disable the packed-bit coalition value caches in the games "
-             "evaluator and coalition engine (sets REPRO_COALITION_CACHE=0)",
-    )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("info", help="package inventory")
     sub.add_parser("experiments", help="list experiments E1…")
@@ -436,8 +431,6 @@ def main(argv: list[str] | None = None) -> int:
         value = getattr(args, flag)
         if value is not None:
             os.environ[env] = str(value)
-    if args.no_coalition_cache:
-        os.environ["REPRO_COALITION_CACHE"] = "0"
     handlers = {
         "info": cmd_info,
         "experiments": cmd_experiments,

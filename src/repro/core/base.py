@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -59,7 +58,6 @@ __all__ = [
     "Explainer",
     "AttributionExplainer",
     "PlanExplainer",
-    "resolve_n_jobs",
 ]
 
 _ROWS_FAILED = "robust.rows_failed"
@@ -81,26 +79,6 @@ def _budgets_configured(guard) -> bool:
         or resolve_query_budget(cfg.query_budget if cfg else None) is not None
     )
 
-
-def resolve_n_jobs(n_jobs: int | None = None) -> int:
-    """Worker count for ``explain_batch``: param > ``REPRO_N_JOBS`` > 1.
-
-    ``-1`` (either source) means "all cores". Parallelism stays off unless
-    explicitly requested — serial is the correctness baseline and the
-    right default for the common small-batch case.
-    """
-    if n_jobs is None:
-        env = os.environ.get("REPRO_N_JOBS", "").strip()
-        if not env:
-            return 1
-        try:
-            n_jobs = int(env)
-        except ValueError:
-            return 1
-    n_jobs = int(n_jobs)
-    if n_jobs < 0:
-        n_jobs = os.cpu_count() or 1
-    return max(1, n_jobs)
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
@@ -223,7 +201,6 @@ class AttributionExplainer(Explainer):
     def explain_batch(
         self,
         X: np.ndarray,
-        n_jobs: int | None = None,
         return_errors: bool = False,
         backend: str | None = None,
         n_procs: int | None = None,
@@ -231,23 +208,20 @@ class AttributionExplainer(Explainer):
     ) -> list[FeatureAttribution] | tuple[list, list[BatchRowError]]:
         """Explain every row of ``X``, surviving per-row failures.
 
-        ``n_jobs`` (or env ``REPRO_N_JOBS``; default 1 = serial) sizes a
-        ``concurrent.futures`` thread pool. Each instance runs under a
-        copy of the submitting context, so per-instance ``explain`` spans
-        keep the batch span as parent, eval counters roll up exactly as
-        in the serial path, and each row gets its own guard scope;
-        results are returned in row order.
-
-        ``backend`` (or env ``REPRO_BACKEND``; see :mod:`repro.exec`)
-        selects the execution backend instead: ``"thread"`` is the pool
-        above sized by ``n_procs``, ``"process"`` shards contiguous row
-        ranges across forked workers. Worker rows re-raise per-row
-        failures through the same :class:`BatchRowError` channel (a dead
-        worker fails its shard's rows, never hangs the batch), worker
-        spans re-parent under this call's batch span, and worker-side
-        ``model.*`` / ``robust.*`` counters merge into the parent
-        snapshot on join. ``backend`` takes precedence over ``n_jobs``
-        when both request parallelism.
+        ``backend`` (or env ``REPRO_BACKEND``; default serial; see
+        :mod:`repro.exec`) selects the execution backend and ``n_procs``
+        its worker count. ``"thread"`` runs rows on a
+        ``concurrent.futures`` thread pool, each under a copy of the
+        submitting context, so per-instance ``explain`` spans keep the
+        batch span as parent, eval counters roll up exactly as in the
+        serial path, and each row gets its own guard scope.
+        ``"process"`` shards contiguous row ranges across forked
+        workers. Worker rows re-raise per-row failures through the same
+        :class:`BatchRowError` channel (a dead worker fails its shard's
+        rows, never hangs the batch), worker spans re-parent under this
+        call's batch span, and worker-side ``model.*`` / ``robust.*``
+        counters merge into the parent snapshot on join. Results are
+        returned in row order whichever backend runs them.
 
         Failure semantics (serial and parallel paths behave identically):
         one poisoned row no longer discards the completed ones. With
@@ -276,16 +250,12 @@ class AttributionExplainer(Explainer):
                 f"explain_batch needs a non-empty batch, got shape {X.shape}"
             )
         backend_name = resolve_backend(backend)
-        n_jobs = resolve_n_jobs(n_jobs)
-        if backend_name == "thread":
-            n_jobs = max(n_jobs, resolve_n_procs(n_procs))
-
-        fused = self._try_amortized(X, backend_name, n_jobs, n_procs, kwargs)
+        fused = self._try_amortized(X, backend_name, n_procs, kwargs)
         if fused is not None:
             results, errors = fused
         else:
-            results, errors = self._run_loop(X, backend_name, n_jobs,
-                                             n_procs, kwargs)
+            results, errors = self._run_loop(X, backend_name, n_procs,
+                                             kwargs)
         if errors:
             metrics.counter(_ROWS_FAILED).inc(len(errors))
         if return_errors:
@@ -294,7 +264,7 @@ class AttributionExplainer(Explainer):
             raise PartialBatchError(partial=results, errors=errors)
         return results
 
-    def _run_loop(self, X, backend_name, n_jobs, n_procs, kwargs):
+    def _run_loop(self, X, backend_name, n_procs, kwargs):
         """``explain`` per row; returns ``(results, errors)``."""
 
         def run_row(i: int, x: np.ndarray):
@@ -303,14 +273,15 @@ class AttributionExplainer(Explainer):
             except Exception as e:
                 return None, BatchRowError(index=i, error=e)
 
+        workers = 1 if backend_name == "serial" else resolve_n_procs(n_procs)
         if backend_name in ("process", "spawn") and X.shape[0] >= 2:
             outcomes = self._run_batch_process(
                 X, run_row, n_procs, backend=backend_name
             )
-        elif n_jobs == 1 or X.shape[0] <= 1:
+        elif workers == 1 or X.shape[0] <= 1:
             outcomes = [run_row(i, x) for i, x in enumerate(X)]
         else:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(contextvars.copy_context().run, run_row, i, x)
                     for i, x in enumerate(X)
@@ -320,7 +291,7 @@ class AttributionExplainer(Explainer):
         errors = [err for __, err in outcomes if err is not None]
         return results, errors
 
-    def _try_amortized(self, X, backend_name, n_jobs, n_procs, kwargs):
+    def _try_amortized(self, X, backend_name, n_procs, kwargs):
         """The fused batch path's hook: ``(results, errors)`` or ``None``.
 
         ``None`` runs the per-row loop. Only :class:`PlanExplainer`
@@ -435,7 +406,7 @@ class PlanExplainer(AttributionExplainer):
                 errors.append(BatchRowError(index=int(i), error=e))
         return errors
 
-    def _try_amortized(self, X, backend_name, n_jobs, n_procs, kwargs):
+    def _try_amortized(self, X, backend_name, n_procs, kwargs):
         """Fuse the batch's valid rows onto one shared plan.
 
         Rows that fail input validation become
@@ -461,7 +432,7 @@ class PlanExplainer(AttributionExplainer):
             try:
                 if valid:
                     fused = self._run_amortized(
-                        X[valid], backend_name, n_jobs, n_procs, **kwargs
+                        X[valid], backend_name, n_procs, **kwargs
                     )
                     for i, attribution in zip(valid, fused):
                         results[i] = attribution
@@ -473,7 +444,7 @@ class PlanExplainer(AttributionExplainer):
             sp.set_attr("amortized", outcome is not None)
         return outcome
 
-    def _run_amortized(self, X, backend_name, n_jobs, n_procs, **kwargs):
+    def _run_amortized(self, X, backend_name, n_procs, **kwargs):
         """Shared-plan batch execution: one context, row-sharded evaluation.
 
         ``_amortized_context`` builds everything row-independent (the
@@ -485,14 +456,8 @@ class PlanExplainer(AttributionExplainer):
         """
         ctx = self._amortized_context(X, **kwargs)
         n_rows = X.shape[0]
-        if backend_name == "serial" and n_jobs > 1:
-            backend_name = "thread"
-            workers = n_jobs
-        elif backend_name != "serial":
-            workers = max(resolve_n_procs(n_procs), n_jobs)
-        else:
-            workers = 1
-        if backend_name == "serial" or workers < 2:
+        workers = 1 if backend_name == "serial" else resolve_n_procs(n_procs)
+        if workers < 2:
             return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
         plan = plan_shards(n_rows, workers)
         if plan.n_shards < 2:

@@ -27,7 +27,8 @@ randomness after background subsampling) and the empirical-conditional
 game, false for stochastic value functions that consume fresh random
 draws per evaluation (e.g. QII's factorized interventions). Those callers
 must pass ``cache=False`` (or use :func:`batched_predict` directly) so
-repeated masks keep their independent draws.
+repeated masks keep their independent draws. Caching is decided per
+call by that argument alone; there is no process-wide switch.
 
 Fault tolerance: each chunk's guarded predict call is retried at the
 chunk level (``chunk_retries``) when the guard gives up, and failed
@@ -60,7 +61,6 @@ from ..robust.errors import ModelEvaluationError, OutputShapeError
 __all__ = [
     "DEFAULT_MAX_BATCH_ROWS",
     "resolve_max_batch_rows",
-    "resolve_cache",
     "broadcast_expand",
     "batched_predict",
     "CoalitionValueCache",
@@ -90,22 +90,6 @@ def resolve_max_batch_rows(value: int | None = None) -> int:
         except ValueError:
             pass
     return DEFAULT_MAX_BATCH_ROWS
-
-
-def resolve_cache(value: bool = True) -> bool:
-    """Whether coalition-value caching is enabled.
-
-    ``REPRO_COALITION_CACHE=0`` (or ``false``/``off``/``no``; CLI flag
-    ``--no-coalition-cache``) force-disables every coalition value cache
-    in the process — the A/B lever benchmarks and cache-suspicion
-    debugging sessions need. An explicit ``value=False`` at a call site
-    always wins; the env var can only turn caching *off*, never on for
-    a caller that opted out (stochastic games stay uncached).
-    """
-    if not value:
-        return False
-    env = os.environ.get("REPRO_COALITION_CACHE", "").strip().lower()
-    return env not in ("0", "false", "off", "no")
 
 
 def broadcast_expand(
@@ -436,7 +420,7 @@ class CoalitionEngine:
         """
         x = np.asarray(x, dtype=float).ravel()
         X = x[None, :]
-        store = CoalitionValueCache() if resolve_cache(cache) else None
+        store = CoalitionValueCache() if cache else None
         if store is not None:
             # Opt-in pre-warming from a persisted snapshot
             # (REPRO_CACHE_SNAPSHOT). Scope tokens keep foreign snapshots

@@ -9,9 +9,7 @@ Shapley feasible for larger models.
 
 The SGD walk lives in :class:`repro.games.GradientGame` (a
 path-dependent game handing whole permutations to
-:func:`repro.games.estimators.permutation_estimator`); the pre-games
-loop is retained as :func:`legacy_gradient_shapley` for the
-seeded-parity tests.
+:func:`repro.games.estimators.permutation_estimator`).
 
 Implemented for :class:`repro.models.logistic.LogisticRegression`-style
 models exposing ``grad``/``params``/``set_params_vector``.
@@ -26,7 +24,7 @@ from ..games.adapters import GradientGame
 from ..games.estimators import permutation_estimator
 from ..models.metrics import accuracy
 
-__all__ = ["gradient_shapley", "legacy_gradient_shapley"]
+__all__ = ["gradient_shapley"]
 
 
 def gradient_shapley(
@@ -65,52 +63,4 @@ def gradient_shapley(
             "learning_rate": learning_rate,
             "convergence": est.diagnostics,
         },
-    )
-
-
-def legacy_gradient_shapley(
-    model_factory,
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    X_val: np.ndarray,
-    y_val: np.ndarray,
-    n_permutations: int = 100,
-    learning_rate: float = 0.05,
-    metric=accuracy,
-    seed: int = 0,
-) -> DataAttribution:
-    """The pre-games SGD loop, kept for the seeded bitwise-parity tests."""
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    y_train = np.asarray(y_train).ravel()
-    n = X_train.shape[0]
-    rng = np.random.default_rng(seed)
-    classes = np.unique(y_train)
-    if classes.size != 2:
-        raise ValueError("gradient_shapley supports binary classification")
-
-    # A throwaway fit fixes the parameter dimensionality and class order.
-    template = model_factory()
-    template.fit(X_train[:10] if n >= 10 else X_train,
-                 y_train[:10] if n >= 10 else y_train)
-    n_params = template.params.shape[0]
-
-    marginal_sums = np.zeros(n)
-    for __ in range(n_permutations):
-        perm = rng.permutation(n)  # games: allow
-        # Start each pass from zero parameters without an initial fit.
-        model = model_factory()
-        model.classes_ = classes
-        model.set_params_vector(np.zeros(n_params))
-        previous = float(metric(y_val, model.predict(X_val)))
-        for point in perm:
-            g = model.grad(X_train[point : point + 1],
-                           y_train[point : point + 1])[0]
-            model.set_params_vector(model.params - learning_rate * g)
-            current = float(metric(y_val, model.predict(X_val)))
-            marginal_sums[point] += current - previous
-            previous = current
-    return DataAttribution(
-        values=marginal_sums / n_permutations,
-        method="gradient_shapley",
-        meta={"n_permutations": n_permutations, "learning_rate": learning_rate},
     )

@@ -10,7 +10,6 @@ from .bias import (
 from .complaints import (
     Complaint,
     ComplaintDebugger,
-    legacy_scope_from_relation,
     scope_from_relation,
 )
 from .index import (
@@ -20,7 +19,6 @@ from .index import (
     ProvenanceDAG,
     RelationIndexes,
     SortIndex,
-    index_enabled,
 )
 from .planner import (
     And,
@@ -58,7 +56,6 @@ __all__ = [
     "ProvenanceDAG",
     "IntervalIndex",
     "LineageSupportIndex",
-    "index_enabled",
     "Query",
     "Predicate",
     "Eq",
@@ -82,7 +79,6 @@ __all__ = [
     "PredicateExplanation",
     "Complaint",
     "scope_from_relation",
-    "legacy_scope_from_relation",
     "BiasReport",
     "detect_simpsons_paradox",
     "group_difference",

@@ -39,8 +39,7 @@ that chooses between them and the naive scans.
 Telemetry (``repro.obs`` counters): ``db.index.hits`` / ``misses``
 (index-served vs fallback lookups), ``db.index.builds``,
 ``db.index.maintained`` (incremental updates applied),
-``db.index.invalidations``, and ``db.index.tombstones``. Kill switch:
-``REPRO_DB_INDEX=0`` makes every consumer take the naive path.
+``db.index.invalidations``, and ``db.index.tombstones``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from bisect import bisect_left, bisect_right
 from ..obs import metrics
 
 __all__ = [
-    "index_enabled",
     "HashIndex",
     "SortIndex",
     "SortIndexUnavailable",
@@ -71,11 +69,6 @@ _BUILDS = "db.index.builds"
 _MAINTAINED = "db.index.maintained"
 _INVALIDATIONS = "db.index.invalidations"
 _TOMBSTONES = "db.index.tombstones"
-
-
-def index_enabled() -> bool:
-    """``REPRO_DB_INDEX=0`` disables every index acceleration path."""
-    return os.environ.get("REPRO_DB_INDEX", "1") != "0"
 
 
 def record_hit(n: int = 1) -> None:

@@ -32,14 +32,14 @@ text; ~8 representative renderings are frozen as goldens
 (``tests/goldens/db_plans.json``).
 
 Index usage is reported through ``repro.obs`` (``db.index.hits`` /
-``db.index.misses``) and disabled entirely by ``REPRO_DB_INDEX=0``.
+``db.index.misses``).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .index import index_enabled, record_hit, record_miss
+from .index import record_hit, record_miss
 from .relation import Relation
 
 __all__ = [
@@ -392,8 +392,6 @@ def _access_path(relation: Relation, predicate: Predicate):
     """
     conjuncts = _conjuncts(predicate)
     structured = any(c.columns() is not None for c in conjuncts)
-    if not index_enabled():
-        return None, None, None, structured
     for at, conjunct in enumerate(conjuncts):  # prefer equality probes
         if isinstance(conjunct, Eq):
             rest = conjuncts[:at] + conjuncts[at + 1:]
@@ -638,7 +636,7 @@ def _lower(node) -> _PhysicalNode:
     left = _lower(node.left)
     if not shared:
         return _CartesianNode(left, _lower(node.right))
-    if isinstance(node.right, _Scan) and index_enabled():
+    if isinstance(node.right, _Scan):
         return _IndexJoinNode(left, node.right.relation, shared)
     return _HashJoinNode(left, _lower(node.right), shared)
 

@@ -13,52 +13,22 @@ hardness results are about exactly this), and the permutation sampler
 gives the FPRAS-style approximation the paper proposes for the hard
 cases. E19 compares both.
 
-The game itself is a :class:`repro.games.TupleProvenanceGame`; run
-through the shared evaluator (``engine=True``, the default) coalition
-values are memoized in the packed-bit cache, which matters because
-exact enumeration and permutation walks revisit sub-databases
-constantly. ``engine=False`` keeps the pre-games uncached path for the
-E39 before/after comparison.
+The game itself is a :class:`repro.games.TupleProvenanceGame`, run
+through the shared evaluator: coalition values are memoized in the
+packed-bit cache, which matters because exact enumeration and
+permutation walks revisit sub-databases constantly.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from ..games.adapters import TupleProvenanceGame
-from ..games.engine import game_value_function
 from ..shapley.exact import exact_shapley
 from ..shapley.sampling import permutation_shapley
 from .relation import Relation
 
 __all__ = ["shapley_of_tuples"]
-
-
-def _database_value_fn(
-    relation: Relation,
-    endogenous: list[int],
-    query: Callable[[Relation], float],
-):
-    """Batched v(masks) rebuilding the relation per coalition."""
-    endogenous_set = set(endogenous)
-    exogenous = [i for i in range(len(relation)) if i not in endogenous_set]
-
-    def v(masks: np.ndarray) -> np.ndarray:
-        masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-        out = np.zeros(masks.shape[0])
-        for row, mask in enumerate(masks):
-            keep = sorted(
-                exogenous + [endogenous[j] for j in range(len(endogenous))
-                             if mask[j]]
-            )
-            # subset() skips schema re-validation per coalition — the
-            # hot allocation of exact enumeration / permutation walks.
-            out[row] = float(query(relation.subset(keep)))
-        return out
-
-    return v
 
 
 def shapley_of_tuples(
@@ -68,7 +38,6 @@ def shapley_of_tuples(
     method: str = "auto",
     n_permutations: int = 200,
     seed: int = 0,
-    engine: bool = True,
     backend: str | None = None,
     n_procs: int | None = None,
 ) -> dict[int, float]:
@@ -86,15 +55,11 @@ def shapley_of_tuples(
     method:
         ``"exact"`` (≤ 16 endogenous tuples), ``"sampling"``, or
         ``"auto"`` — exact when feasible.
-    engine:
-        ``True`` (default) evaluates coalitions through the shared games
-        evaluator (packed-bit cache + telemetry); ``False`` keeps the
-        pre-games uncached value function.
     backend:
         Execution backend (:mod:`repro.exec`); sub-database evaluations
-        shard across workers on the engine path (bitwise-identical
-        values), and the query re-evaluation loop is pure Python, so the
-        ``process`` backend is where large relations actually scale.
+        shard across workers (bitwise-identical values), and the query
+        re-evaluation loop is pure Python, so the ``process`` backend is
+        where large relations actually scale.
 
     Returns
     -------
@@ -106,19 +71,15 @@ def shapley_of_tuples(
     n = len(endogenous)
     if method == "auto":
         method = "exact" if n <= 16 else "sampling"
-    if engine:
-        # The estimators receive the game itself (not a pre-built value
-        # function): the game carries the deterministic/shardable
-        # capabilities the exec backend gates on, and resolves to the
-        # identical evaluator path inside the estimator.
-        v = TupleProvenanceGame(relation, query, endogenous)
-    else:
-        v = _database_value_fn(relation, endogenous, query)
+    # The estimators receive the game itself (not a pre-built value
+    # function): the game carries the deterministic/shardable
+    # capabilities the exec backend gates on.
+    game = TupleProvenanceGame(relation, query, endogenous)
     if method == "exact":
-        phi = exact_shapley(v, n, backend=backend, n_procs=n_procs)
+        phi = exact_shapley(game, n, backend=backend, n_procs=n_procs)
     elif method == "sampling":
         phi, __ = permutation_shapley(
-            v, n, n_permutations=n_permutations, seed=seed,
+            game, n, n_permutations=n_permutations, seed=seed,
             backend=backend, n_procs=n_procs,
         )
     else:

@@ -1,7 +1,7 @@
 """Backend selection: ``backend=`` param > ``REPRO_BACKEND`` > serial.
 
 ``serial`` is the correctness baseline and the default — parallelism is
-opt-in, exactly like ``REPRO_N_JOBS`` on ``explain_batch``. ``thread``
+opt-in, for the estimators and ``explain_batch`` alike. ``thread``
 shares one address space (caches, metrics and spans work natively) and
 helps when coalition evaluation releases the GIL (numpy kernels, I/O
 latency); ``process`` forks workers and helps for CPU-bound pure-Python
@@ -80,8 +80,7 @@ def resolve_backend(value: str | None = None) -> str:
 def resolve_n_procs(value: int | None = None) -> int:
     """Worker count: explicit > ``REPRO_N_PROCS`` > CPU count, min 1.
 
-    ``-1`` (either source) means "all cores", mirroring
-    ``REPRO_N_JOBS`` on the batch thread pool.
+    ``-1`` (either source) means "all cores".
     """
     if value is None:
         env = os.environ.get("REPRO_N_PROCS", "").strip()

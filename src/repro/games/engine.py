@@ -9,8 +9,7 @@ tuple provenance and causal games too:
 * **packed-bit value caching** via
   :class:`repro.core.coalition_engine.CoalitionValueCache` (counters
   ``coalition.cache.hits`` / ``.misses``), enabled when the game
-  declares itself ``deterministic`` and not disabled globally via
-  ``REPRO_COALITION_CACHE=0``;
+  declares itself ``deterministic`` (or the caller passes ``cache=``);
 * **memory-bounded chunking**: ``max_batch_rows`` (env
   ``REPRO_MAX_BATCH_ROWS``) divided by the game's
   ``rows_per_coalition`` bounds coalitions per evaluation call;
@@ -47,7 +46,6 @@ from ..core.coalition_engine import (
     CoalitionValueCache,
     _cached_values,
     _run_chunks,
-    resolve_cache,
     resolve_max_batch_rows,
 )
 from ..obs.trace import span
@@ -123,10 +121,9 @@ def game_value_function(
 ):
     """The game's ``v(coalitions)`` with caching/chunking/budgets applied.
 
-    ``cache=None`` defers to the game's ``deterministic`` flag (and the
-    global ``REPRO_COALITION_CACHE`` kill switch); passing ``True`` for
-    a non-deterministic game is the caller asserting determinism the
-    adapter could not, and passing a
+    ``cache=None`` defers to the game's ``deterministic`` flag; passing
+    ``True`` for a non-deterministic game is the caller asserting
+    determinism the adapter could not, and passing a
     :class:`~repro.core.coalition_engine.CoalitionValueCache` *instance*
     shares that store across value functions — the exec backend uses
     this to seed workers with the parent's cache and merge worker stores
@@ -150,9 +147,9 @@ def game_value_function(
     guarded = getattr(game, "guarded", False)
     rows_per = max(1, int(getattr(game, "rows_per_coalition", 1)))
     if isinstance(cache, CoalitionValueCache):
-        store = cache if resolve_cache(True) else None
+        store = cache
     else:
-        use_cache = resolve_cache(deterministic if cache is None else cache)
+        use_cache = deterministic if cache is None else cache
         store = CoalitionValueCache() if use_cache else None
     positional = hasattr(game, "value_at")
     per_chunk = max(1, resolve_max_batch_rows(max_batch_rows) // rows_per)

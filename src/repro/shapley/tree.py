@@ -35,13 +35,11 @@ accumulation. Since the kernel is elementwise per row, fused results are
 bitwise-identical across backends, batch splits and batch sizes; only
 the scalar-vs-fused comparison carries the ulp caveat. Single-row
 ``explain`` stays on the scalar kernel (numpy per-node overhead only
-amortizes across rows); ``explain_batch`` uses the fused kernel, and
-``REPRO_PRECOMPUTE=0`` restores the per-instance scalar path there too.
+amortizes across rows); ``explain_batch`` always uses the fused kernel.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 
@@ -60,24 +58,9 @@ __all__ = [
     "tree_shap_values",
     "tree_expected_value",
     "batch_tree_shap_values",
-    "resolve_precompute",
     "TreePrecompute",
     "TreeShapExplainer",
 ]
-
-
-def resolve_precompute(value: bool = True) -> bool:
-    """Whether the per-model TreeSHAP precompute path is enabled.
-
-    ``REPRO_PRECOMPUTE=0`` (or ``false``/``off``/``no``) force-disables
-    it, restoring the per-instance scalar recursion — the A/B lever the
-    E42 benchmark uses to separate precompute cost from per-instance
-    cost. An explicit ``value=False`` at a call site always wins.
-    """
-    if not value:
-        return False
-    env = os.environ.get("REPRO_PRECOMPUTE", "").strip().lower()
-    return env not in ("0", "false", "off", "no")
 
 
 def _leaf_scalar(row: list, class_index: int | None) -> float:
@@ -548,8 +531,12 @@ class TreeShapExplainer:
         vectorized batch kernel pays numpy per-node overhead that only
         amortizes across many rows (it is ~8× slower at ``n_rows=1``).
         Batches go through :meth:`explain_batch` for the fused path.
+        The model's prediction comes first, so a row of the wrong width
+        raises the model's :class:`~repro.robust.InputValidationError`
+        before the recursion indexes into it.
         """
         x = np.asarray(x, dtype=float).ravel()
+        prediction = self._model_output(x)
         n = x.shape[0]
         phi = np.zeros(n)
         for tree, weight, class_index in self._components:
@@ -559,7 +546,7 @@ class TreeShapExplainer:
             values=phi,
             feature_names=names,
             base_value=self.expected_value,
-            prediction=self._model_output(x),
+            prediction=prediction,
             method=self.method_name,
             meta={"n_trees": len(self._components)},
         )
@@ -582,25 +569,21 @@ class TreeShapExplainer:
         bitwise-identical across backends and batch splits (the kernel
         is elementwise per row); against per-row ``explain`` they agree
         to float accumulation order (the fused kernel visits children
-        left-then-right, the scalar recursion hot-child-first). With
-        ``REPRO_PRECOMPUTE=0`` this degrades to the plain per-row
-        scalar loop.
+        left-then-right, the scalar recursion hot-child-first).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        use_pre = resolve_precompute()
         sp = current_span()
         if sp is not None:
-            sp.set_attr("amortized", bool(use_pre))
-        if not use_pre:
-            return [self.explain(x, feature_names=feature_names) for x in X]  # batch: allow
+            sp.set_attr("amortized", True)
         pre = self.precompute()
         names = feature_names or [f"x{i}" for i in range(X.shape[1])]
         n_trees = len(self._components)
 
         def run_rows(bounds):
             lo, hi = bounds
-            phi = pre.shap_values(X[lo:hi])
+            # Predictions first: the model rejects a wrong-width batch.
             preds = self._model_output_batch(X[lo:hi])
+            phi = pre.shap_values(X[lo:hi])
             return [
                 FeatureAttribution(
                     values=phi[r],

@@ -20,7 +20,7 @@ with ``explain(x)`` a batch of one on it (TreeSHAP keeps its own cached
   ``BatchRowError(InputValidationError)`` without a fallback;
 * the fused TreeSHAP kernel is bitwise stable across backends and batch
   splits, and agrees with the scalar recursion to float accumulation
-  order; ``REPRO_PRECOMPUTE=0`` restores its per-row loop;
+  order;
 * guard budgets give every row its own scope, and a mid-fuse failure
   degrades to the per-row loop while counting
   ``coalition.plan.fallbacks``;
@@ -119,7 +119,7 @@ def test_amortized_batch_bitwise_parity(family, backend, loan_data,
         for x in X
     ]
     batch = make_explainer(family, loan_logistic, loan_data).explain_batch(
-        X, backend=backend, n_jobs=2, n_procs=2
+        X, backend=backend, n_procs=2
     )
     assert len(batch) == N_ROWS
     for ref, att in zip(reference, batch):
@@ -440,15 +440,21 @@ class TestTreeBatch:
             assert np.allclose(att.values, scalar.values, atol=1e-9)
             assert att.base_value == scalar.base_value
 
-    def test_precompute_kill_switch(self, monkeypatch, loan_split, loan_gbm):
+    @pytest.mark.parametrize("kind", ["short", "wide", "empty"])
+    def test_bad_width_raises_the_model_error(self, kind, loan_split,
+                                              loan_gbm):
         Xtr, __, __, __ = loan_split
-        X = Xtr[:4]
+        d = Xtr.shape[1]
+        x = {"short": Xtr[0, :2], "wide": np.append(Xtr[0], 1.0),
+             "empty": Xtr[0, :0]}[kind]
+        width = f"X has {x.shape[0]} features, but the model was fitted on {d}"
         explainer = TreeShapExplainer(loan_gbm)
-        monkeypatch.setenv("REPRO_PRECOMPUTE", "0")
-        looped = explainer.explain_batch(X)
-        assert _batch_span().attrs["amortized"] is False
-        for x, att in zip(X, looped):
-            assert np.array_equal(explainer.explain(x).values, att.values)
+        with pytest.raises(InputValidationError, match=width):
+            explainer.explain(x)
+        batch = np.zeros((0, d)) if kind == "empty" else np.stack([x, x])
+        with pytest.raises(InputValidationError,
+                           match="X has no rows" if kind == "empty" else width):
+            explainer.explain_batch(batch)
 
     def test_precompute_shared_across_instances(self, loan_gbm):
         a = TreeShapExplainer(loan_gbm)

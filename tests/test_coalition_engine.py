@@ -9,7 +9,7 @@ Covers the perf-engine contract end to end:
 * seeded attributions from kernel SHAP and sampling SHAP (one plan
   path) are bitwise the per-walk oracle's, and QII / conditional value
   functions match their pre-engine loops;
-* parallel ``explain_batch(n_jobs=2)`` matches serial output row-for-row
+* thread-backend ``explain_batch`` matches serial output row-for-row
   and keeps span accounting intact.
 """
 
@@ -353,47 +353,25 @@ class TestSeededParity:
 
 
 class TestParallelExplainBatch:
-    def test_resolve_n_jobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_N_JOBS", raising=False)
-        assert core_base.resolve_n_jobs() == 1
-        assert core_base.resolve_n_jobs(3) == 3
-        monkeypatch.setenv("REPRO_N_JOBS", "4")
-        assert core_base.resolve_n_jobs() == 4
-        assert core_base.resolve_n_jobs(2) == 2
-        monkeypatch.setenv("REPRO_N_JOBS", "junk")
-        assert core_base.resolve_n_jobs() == 1
-        assert core_base.resolve_n_jobs(-1) >= 1
-
     def test_parallel_matches_serial_row_for_row(self, loan_data, loan_model):
         X = loan_data.X[:6]
         explainer = KernelShapExplainer(
             loan_model, loan_data.X, n_samples=40, max_background=25, seed=0
         )
         serial = explainer.explain_batch(X)
-        parallel = explainer.explain_batch(X, n_jobs=2)
+        parallel = explainer.explain_batch(X, backend="thread", n_procs=2)
         assert len(serial) == len(parallel) == X.shape[0]
         for s, p in zip(serial, parallel):
             assert np.array_equal(s.values, p.values)
             assert s.base_value == p.base_value
             assert s.prediction == p.prediction
 
-    def test_env_var_enables_parallelism(self, loan_data, loan_model, monkeypatch):
-        X = loan_data.X[:3]
-        explainer = SamplingShapleyExplainer(
-            loan_model, loan_data.X, n_permutations=6, max_background=20, seed=1
-        )
-        serial = explainer.explain_batch(X)
-        monkeypatch.setenv("REPRO_N_JOBS", "2")
-        from_env = explainer.explain_batch(X)
-        for s, p in zip(serial, from_env):
-            assert np.array_equal(s.values, p.values)
-
     def test_parallel_spans_roll_up(self, loan_data, loan_model):
         data = loan_data
         explainer = LimeTabularExplainer(loan_model, data, n_samples=80, seed=0)
         tracer = obs.get_tracer()
         mark = tracer.mark()
-        explainer.explain_batch(data.X[:4], n_jobs=2)
+        explainer.explain_batch(data.X[:4], backend="thread", n_procs=2)
         spans = tracer.spans_since(mark)
         batch = [s for s in spans if s.name == "explain_batch"]
         children = [s for s in spans if s.name == "explain"]

@@ -33,7 +33,6 @@ from repro.db import (
     Relation,
     explain_aggregate,
     legacy_explain_aggregate,
-    legacy_scope_from_relation,
     legacy_why_not,
     matching_indices,
     scope_from_relation,
@@ -51,6 +50,11 @@ from repro.db.provenance import (
     CountingSemiring,
     LineageSemiring,
     WhySemiring,
+)
+from tests.oracles.db_scans import (
+    legacy_scope_from_relation,
+    legacy_violating_tuples,
+    legacy_violations,
 )
 
 SEMIRINGS = {
@@ -165,15 +169,21 @@ def test_unorderable_column_falls_back_to_scan():
     assert matching_indices(mixed, Eq("a", 1)) == [0, 2]
 
 
-def test_kill_switch_disables_indexes(monkeypatch):
-    monkeypatch.setenv("REPRO_DB_INDEX", "0")
-    semiring = CountingSemiring()
+@pytest.mark.parametrize("semiring_name", sorted(SEMIRINGS))
+def test_opaque_predicate_plans_a_filter_scan(semiring_name):
+    # No index serves an opaque callable: the plan is a filter scan,
+    # and the scan (plus a join over its output) equals the naive path.
+    semiring = SEMIRINGS[semiring_name]()
     rng = random.Random(7)
-    for __ in range(5):
-        _assert_equivalent(_random_pipeline(rng, semiring))
-    relation = _random_relation(rng, semiring, "K", min_rows=3)
-    plan = Query(relation).select(Eq(relation.columns[0], 1)).explain_plan()
+    relation = _random_relation(rng, semiring, "K", columns=["a", "b"],
+                                min_rows=3)
+    other = _random_relation(rng, semiring, "L", columns=["a", "c"])
+    odd = Opaque(lambda row: row["b"] % 2 == 1, "<b odd>")
+    query = Query(relation).select(odd)
+    plan = query.explain_plan()
     assert "filter scan" in plan and "index" not in plan
+    _assert_equivalent(query)
+    _assert_equivalent(Query(relation).join(other).select(odd))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -231,9 +241,9 @@ def test_fd_checks_match_legacy(seed):
     relation = _random_relation(rng, WhySemiring(), "fd",
                                 columns=["a", "b", "c"], max_rows=20)
     fd = FunctionalDependency(lhs=("a",), rhs=("b",))
-    assert fd.violations(relation) == fd.legacy_violations(relation)
+    assert fd.violations(relation) == legacy_violations(fd, relation)
     assert fd.violating_tuples(relation) == \
-        fd.legacy_violating_tuples(relation)
+        legacy_violating_tuples(fd, relation)
 
 
 @pytest.mark.parametrize("seed", range(10))

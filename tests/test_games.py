@@ -2,9 +2,9 @@
 shared telemetry, and graceful degradation under budgets.
 
 The games refactor's contract is that routing a workload through
-``repro.games`` changes *nothing numerically*: every family keeps a
-``legacy_*`` implementation (or an ``engine=False`` switch), and these
-tests pin the new path to the old one bitwise at equal seeds.
+``repro.games`` changes *nothing numerically*: every family's pre-games
+loop is kept as a test oracle (``tests/oracles/``), and these tests pin
+the games path to it bitwise at equal seeds.
 """
 
 import numpy as np
@@ -24,13 +24,14 @@ from repro.datavalue import (
     beta_shapley,
     distributional_shapley,
     gradient_shapley,
-    legacy_beta_shapley,
-    legacy_distributional_shapley,
-    legacy_gradient_shapley,
-    legacy_tmc_shapley,
     tmc_shapley,
 )
-from repro.db import Relation, shapley_of_tuples
+from repro.db import (
+    FunctionalDependency,
+    Relation,
+    repair_responsibility,
+    shapley_of_tuples,
+)
 from repro.games import (
     DataValueGame,
     FunctionGame,
@@ -49,6 +50,16 @@ from repro.obs.metrics import counter, reset_metrics
 from repro.robust import GuardConfig, TransientModelError, guard_scope
 from repro.shapley import exact_shapley, kernel_shap, permutation_shapley
 from tests.oracles.coalition_walk import legacy_permutation_shapley
+from tests.oracles.db_scans import legacy_violating_tuples, legacy_violations
+from tests.oracles.pre_games import (
+    legacy_asymmetric_explain,
+    legacy_beta_shapley,
+    legacy_causal_explain,
+    legacy_distributional_shapley,
+    legacy_gradient_shapley,
+    legacy_shapley_of_tuples,
+    legacy_tmc_shapley,
+)
 
 
 def _quadratic_game(n):
@@ -114,13 +125,24 @@ class TestGameProtocol:
         assert utility.calls == 1  # three duplicates served by the cache
         assert v.cache.hits == 3 and v.cache.misses == 1
 
-    def test_cache_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COALITION_CACHE", "0")
-        utility = _CountingValue(3)
+    def test_nondeterministic_game_stays_uncached(self):
+        utility = _CountingValue(3, deterministic=False)
         v = game_value_function(utility.as_game())
         v(np.array([[True, False, False]] * 4))
-        assert utility.calls == 4
+        assert utility.calls == 4  # every duplicate draws afresh
         assert v.cache is None
+
+    @pytest.mark.parametrize("deterministic,cache,calls", [
+        (True, False, 4),  # the caller opts a deterministic game out
+        (False, True, 1),  # the caller asserts determinism
+    ])
+    def test_explicit_cache_overrides_the_flag(self, deterministic, cache,
+                                                calls):
+        utility = _CountingValue(3, deterministic=deterministic)
+        v = game_value_function(utility.as_game(), cache=cache)
+        v(np.array([[True, False, False]] * 4))
+        assert utility.calls == calls
+        assert (v.cache is not None) == cache
 
     def test_wrong_length_value_is_not_retried(self):
         from repro.robust import ModelEvaluationError, OutputShapeError
@@ -146,8 +168,9 @@ class TestGameProtocol:
 
 
 class _CountingValue:
-    def __init__(self, n):
+    def __init__(self, n, deterministic=True):
         self.n = n
+        self.deterministic = deterministic
         self.calls = 0
 
     def as_game(self):
@@ -155,7 +178,7 @@ class _CountingValue:
 
         class G:
             n_players = outer.n
-            deterministic = True
+            deterministic = outer.deterministic
 
             def value(self, masks):
                 outer.calls += masks.shape[0]
@@ -268,14 +291,40 @@ def _total(rel):
 class TestTupleParity:
     def test_exact_engine_matches_legacy(self, sales):
         new = shapley_of_tuples(sales, _total, method="exact")
-        old = shapley_of_tuples(sales, _total, method="exact", engine=False)
+        old = legacy_shapley_of_tuples(sales, _total, method="exact")
         assert new == old
 
     def test_sampling_engine_matches_legacy(self, sales):
         kwargs = dict(method="sampling", n_permutations=30, seed=2)
         new = shapley_of_tuples(sales, _total, **kwargs)
-        old = shapley_of_tuples(sales, _total, engine=False, **kwargs)
+        old = legacy_shapley_of_tuples(sales, _total, **kwargs)
         assert new == old
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(method="exact"),
+        dict(method="sampling", n_permutations=20, seed=3),
+    ])
+    def test_repair_engine_matches_legacy(self, kwargs):
+        dirty = Relation(
+            ["zip", "city", "state"],
+            [("1", "a", "x"), ("1", "b", "x"), ("1", "a", "y"),
+             ("2", "c", "z"), ("2", "d", "z"), ("3", "e", "w")],
+            name="dirty",
+        )
+        fds = [FunctionalDependency(("zip",), ("city",)),
+               FunctionalDependency(("zip",), ("state",))]
+        new = repair_responsibility(dirty, fds, **kwargs)
+        involved = set()
+        for fd in fds:
+            involved |= legacy_violating_tuples(fd, dirty)
+        old = legacy_shapley_of_tuples(
+            dirty,
+            lambda sub: float(sum(legacy_violations(fd, sub) for fd in fds)),
+            endogenous=sorted(involved), **kwargs,
+        )
+        assert new == old
+        assert sum(new.values()) == pytest.approx(
+            sum(legacy_violations(fd, dirty) for fd in fds))
 
     def test_game_respects_exogenous_context(self, sales):
         game = TupleProvenanceGame(sales, _total, endogenous=[0, 1])
@@ -304,40 +353,40 @@ class TestCausalParity:
     def test_asymmetric_bitwise(self, chain_scm):
         x = np.array([1.0, 0.5])
         kwargs = dict(n_permutations=12, n_samples=60, seed=5)
-        new = AsymmetricShapleyExplainer(
+        explainer = AsymmetricShapleyExplainer(
             _chain_model, chain_scm, ["a", "b"], **kwargs
-        ).explain(x)
-        old = AsymmetricShapleyExplainer(
-            _chain_model, chain_scm, ["a", "b"], engine=False, **kwargs
-        ).explain(x)
+        )
+        new = explainer.explain(x)
+        old = legacy_asymmetric_explain(explainer, x)
         assert np.array_equal(new.values, old.values)
         assert new.base_value == old.base_value
 
     def test_asymmetric_custom_value_fn_bitwise(self, chain_scm):
         x = np.array([0.5, -1.0])
         kwargs = dict(n_permutations=6, n_samples=40, seed=8)
-        results = []
-        for engine in (True, False):
-            v = conditional_value_function(
+        explainer = AsymmetricShapleyExplainer(
+            _chain_model, chain_scm, ["a", "b"], **kwargs
+        )
+
+        def value_fn():
+            return conditional_value_function(
                 chain_scm, _chain_model, ["a", "b"], x,
                 n_samples=40, seed=8,
             )
-            att = AsymmetricShapleyExplainer(
-                _chain_model, chain_scm, ["a", "b"], engine=engine, **kwargs
-            ).explain(x, value_fn=v)
-            results.append(att)
-        assert np.array_equal(results[0].values, results[1].values)
-        assert results[0].base_value == results[1].base_value
+
+        new = explainer.explain(x, value_fn=value_fn())
+        old = legacy_asymmetric_explain(explainer, x, value_fn=value_fn())
+        assert np.array_equal(new.values, old.values)
+        assert new.base_value == old.base_value
 
     def test_causal_bitwise(self, chain_scm):
         x = np.array([1.0, 1.0])
         kwargs = dict(n_permutations=10, n_samples=50, seed=3)
-        new = CausalShapleyExplainer(
+        explainer = CausalShapleyExplainer(
             _chain_model, chain_scm, ["a", "b"], **kwargs
-        ).explain(x)
-        old = CausalShapleyExplainer(
-            _chain_model, chain_scm, ["a", "b"], engine=False, **kwargs
-        ).explain(x)
+        )
+        new = explainer.explain(x)
+        old = legacy_causal_explain(explainer, x)
         assert np.array_equal(new.values, old.values)
         assert np.array_equal(new.meta["direct"], old.meta["direct"])
         assert np.array_equal(new.meta["indirect"], old.meta["indirect"])

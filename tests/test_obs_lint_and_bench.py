@@ -157,6 +157,16 @@ def test_shapley_lint_catches_bespoke_loops(tmp_path):
     assert any(f"{indirect}:3 " in f for f in found)
 
 
+ALLOW_MARKED_LOOP = (
+    "def legacy(v, n, rng):\n"
+    "    sums = np.zeros(n)\n"
+    "    perm = rng.permutation(n)  # games: allow\n"
+    "    for p in perm:\n"
+    "        sums[p] += v(p)\n"
+    "    return sums\n"
+)
+
+
 def test_shapley_lint_accepts_benign_uses(tmp_path):
     lint = _load_script(SHAPLEY_LINT, "check_no_bespoke_shapley")
     ok = tmp_path / "clean.py"
@@ -174,18 +184,13 @@ def test_shapley_lint_accepts_benign_uses(tmp_path):
         "    perm = rng.permutation(len(scores))\n"
         "    out['shuffled'] = scores[perm]\n"
         "    return out\n"
-        # Allow-marked legacy implementation.
-        "def legacy(v, n, rng):\n"
-        "    sums = np.zeros(n)\n"
-        "    perm = rng.permutation(n)  # games: allow\n"
-        "    for p in perm:\n"
-        "        sums[p] += v(p)\n"
-        "    return sums\n",
+        # Allow-marked reference loop outside the shipped package.
+        + ALLOW_MARKED_LOOP,
         encoding="utf-8",
     )
     assert lint.offenders(str(tmp_path)) == []
     # The games package itself is exempt (that is where the loop lives).
-    games_dir = tmp_path / "repro" / "games"
+    games_dir = tmp_path / "src" / "repro" / "games"
     games_dir.mkdir(parents=True)
     (games_dir / "estimators.py").write_text(
         "def walk(v, n, rng, sums):\n"
@@ -195,6 +200,18 @@ def test_shapley_lint_accepts_benign_uses(tmp_path):
         encoding="utf-8",
     )
     assert lint.offenders(str(tmp_path)) == []
+
+
+def test_shapley_lint_ignores_allow_marker_in_package(tmp_path):
+    """Under src/repro the ``# games: allow`` escape is not honoured."""
+    lint = _load_script(SHAPLEY_LINT, "check_no_bespoke_shapley")
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    legacy = package / "legacy.py"
+    legacy.write_text(ALLOW_MARKED_LOOP, encoding="utf-8")
+    found = lint.offenders(str(package))
+    assert found and all(f"{legacy}:3 " in f for f in found)
+    assert lint.main([str(package)]) == 1
 
 
 def test_src_repro_db_has_no_naive_row_scans():

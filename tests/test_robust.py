@@ -408,15 +408,16 @@ class _PoisonRowExplainer(AttributionExplainer):
         )
 
 
-@pytest.mark.parametrize("n_jobs", [1, 3])
-def test_explain_batch_survives_poisoned_row(n_jobs, background):
+@pytest.mark.parametrize("n_procs", [1, 3])
+def test_explain_batch_survives_poisoned_row(n_procs, background):
     explainer = _PoisonRowExplainer(linear_model)
     X = background[:5].copy()
     X[2, 0] = 1e9  # poison
     before = metrics.counter("robust.rows_failed").value
 
-    results, errors = explainer.explain_batch(X, n_jobs=n_jobs,
-                                              return_errors=True)
+    results, errors = explainer.explain_batch(
+        X, backend="thread", n_procs=n_procs, return_errors=True
+    )
     assert len(results) == 5
     assert results[2] is None
     assert all(results[i] is not None for i in (0, 1, 3, 4))
@@ -425,7 +426,7 @@ def test_explain_batch_survives_poisoned_row(n_jobs, background):
     assert metrics.counter("robust.rows_failed").value == before + 1
 
     with pytest.raises(PartialBatchError) as excinfo:
-        explainer.explain_batch(X, n_jobs=n_jobs)
+        explainer.explain_batch(X, backend="thread", n_procs=n_procs)
     partial = excinfo.value
     assert partial.completed_indices == [0, 1, 3, 4]
     assert partial.partial[2] is None
@@ -446,7 +447,8 @@ def test_explain_batch_parallel_budgets_are_per_row(background):
         linear_model, background, n_samples=16, seed=0,
         guard=GuardConfig(query_budget=5000),
     )
-    results = explainer.explain_batch(background[:4], n_jobs=2)
+    results = explainer.explain_batch(background[:4], backend="thread",
+                                      n_procs=2)
     assert len(results) == 4 and all(r is not None for r in results)
 
 
