@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.base import AttributionExplainer
 from ..core.explanation import FeatureAttribution
 from ..games.adapters import TopologicalGame, sample_topological_order
 from ..games.engine import game_value_function
 from ..games.estimators import permutation_estimator
-from ..obs import instrument_explainer
 from .scm import StructuralCausalModel
 
 __all__ = ["sample_topological_permutation", "AsymmetricShapleyExplainer"]
@@ -49,8 +49,7 @@ def sample_topological_permutation(
     return sample_topological_order(scm.parents, feature_order, rng)
 
 
-@instrument_explainer
-class AsymmetricShapleyExplainer:
+class AsymmetricShapleyExplainer(AttributionExplainer):
     """Shapley values averaged over causally-consistent orderings only."""
 
     method_name = "asymmetric_shapley"
@@ -64,9 +63,7 @@ class AsymmetricShapleyExplainer:
         n_samples: int = 400,
         seed: int = 0,
     ) -> None:
-        from ..core.base import as_predict_fn
-
-        self.predict_fn = as_predict_fn(model)
+        super().__init__(model)
         self.scm = scm
         self.feature_order = list(feature_order)
         self.n_permutations = n_permutations

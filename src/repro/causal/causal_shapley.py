@@ -27,17 +27,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.base import AttributionExplainer
 from ..core.explanation import FeatureAttribution
 from ..games.adapters import InterventionalGame
 from ..games.estimators import permutation_estimator
-from ..obs import instrument_explainer
 from .scm import StructuralCausalModel
 
 __all__ = ["CausalShapleyExplainer"]
 
 
-@instrument_explainer
-class CausalShapleyExplainer:
+class CausalShapleyExplainer(AttributionExplainer):
     """Interventional Shapley values with direct/indirect decomposition.
 
     Parameters
@@ -64,9 +63,7 @@ class CausalShapleyExplainer:
         n_samples: int = 400,
         seed: int = 0,
     ) -> None:
-        from ..core.base import as_predict_fn
-
-        self.predict_fn = as_predict_fn(model)
+        super().__init__(model)
         self.scm = scm
         self.feature_order = list(feature_order)
         self.n_permutations = n_permutations

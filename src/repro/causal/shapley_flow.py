@@ -30,7 +30,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..obs import instrument_explainer
+from ..core.base import Explainer
 from .scm import StructuralCausalModel
 
 __all__ = ["ShapleyFlowExplainer", "FlowResult"]
@@ -72,8 +72,7 @@ class FlowResult:
         return max(sink_gap, root_gap)
 
 
-@instrument_explainer
-class ShapleyFlowExplainer:
+class ShapleyFlowExplainer(Explainer):
     """Monte-Carlo Shapley flow over an SCM with additive noise.
 
     Parameters
@@ -100,9 +99,7 @@ class ShapleyFlowExplainer:
         n_orderings: int = 50,
         seed: int = 0,
     ) -> None:
-        from ..core.base import as_predict_fn
-
-        self.predict_fn = as_predict_fn(model)
+        super().__init__(model)
         self.scm = scm
         self.feature_order = list(feature_order)
         self.n_orderings = n_orderings

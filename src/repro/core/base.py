@@ -39,7 +39,7 @@ import numpy as np
 
 from ..exec import map_shards, plan_shards, resolve_backend, resolve_n_procs
 from ..obs import metrics
-from ..obs.instrument import instrument_explainer
+from ..obs.instrument import ENTRY_POINTS, traced_call
 from ..obs.metrics import meter_predict_fn
 from ..obs.trace import current_span
 from ..robust.errors import BatchRowError, InputValidationError, PartialBatchError
@@ -141,42 +141,46 @@ def as_predict_fn(model, output: str = "auto",
     return wrapped
 
 
-def _scope_wrap(fn):
-    """Open a fresh per-explanation guard scope around an entry point."""
+def _entry_point(name: str, fn):
+    """The one wrapper around an explainer's own ``explain``/``explain_batch``.
+
+    A fresh per-explanation guard scope outside, the call's span
+    (:func:`repro.obs.instrument.traced_call`) inside it.
+    """
 
     @functools.wraps(fn)
-    def scoped(self, *args, **kwargs):
+    def wrapped(self, *args, **kwargs):
         with guard_scope(getattr(self, "guard_config", None)):
-            return fn(self, *args, **kwargs)
+            return traced_call(name, fn, self, args, kwargs)
 
-    scoped.__repro_guard_scoped__ = True
-    return scoped
+    wrapped.__repro_entry_point__ = True
+    return wrapped
 
 
 class Explainer(ABC):
     """Common base: wraps a model into a normalized prediction function.
 
     Subclasses are automatically instrumented: their own ``explain`` /
-    ``explain_batch`` definitions are wrapped in :mod:`repro.obs` spans
+    ``explain_batch`` definitions are wrapped in a
+    :func:`repro.robust.guard_scope`, so deadlines and query budgets
+    reset per explanation, and inside it in a :mod:`repro.obs` span
     carrying the explainer name, input width, wall time and model-eval
-    counters — and in a :func:`repro.robust.guard_scope`, so deadlines
-    and query budgets reset per explanation.
+    counters. A method that is already wrapped (inherited, or re-bound
+    from a parent class) is not wrapped again.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        instrument_explainer(cls)
-        for name in ("explain", "explain_batch"):
+        for name in ENTRY_POINTS:
             fn = cls.__dict__.get(name)
-            if fn is None:
+            if (
+                fn is None
+                or getattr(fn, "__repro_entry_point__", False)
+                or getattr(fn, "__isabstractmethod__", False)
+                or isinstance(fn, (staticmethod, classmethod))
+            ):
                 continue
-            if getattr(fn, "__repro_guard_scoped__", False):
-                continue
-            if getattr(fn, "__isabstractmethod__", False):
-                continue
-            if isinstance(fn, (staticmethod, classmethod)):
-                continue
-            setattr(cls, name, _scope_wrap(fn))
+            setattr(cls, name, _entry_point(name, fn))
 
     def __init__(self, model, output: str = "auto",
                  guard: GuardConfig | None | bool = None) -> None:
@@ -190,9 +194,27 @@ class Explainer(ABC):
 
 
 class AttributionExplainer(Explainer):
-    """Base for explainers that return :class:`FeatureAttribution`."""
+    """Base for explainers that return :class:`FeatureAttribution`.
+
+    ``explain_batch`` runs ``explain`` per row unless the subclass has a
+    fused batch path, which it opts into by providing:
+
+    * ``n_features`` — the width every explained row must have;
+    * ``_amortized_context(X, feature_names=None)`` — the
+      row-independent context (a coalition plan, a tree precompute),
+      built once per batch, parent-side;
+    * ``_amortized_rows(X, lo, hi, ctx, feature_names=None)`` — the
+      attributions of rows ``[lo, hi)`` against that context.
+
+    Rows of the wrong width, and rows with non-finite entries unless the
+    class sets ``accepts_nan``, fail input validation before the fused
+    call and never reach it.
+    """
 
     method_name = "attribution"
+    # Tree explainers set this: trees route NaN (and compare ±inf) like
+    # any other value, so only the width is checked per row.
+    accepts_nan = False
 
     @abstractmethod
     def explain(self, x: np.ndarray, **kwargs) -> FeatureAttribution:
@@ -233,11 +255,12 @@ class AttributionExplainer(Explainer):
         :class:`repro.robust.PartialBatchError` carrying the same
         partial results. Failed rows increment ``robust.rows_failed``.
 
-        Amortization: :class:`PlanExplainer` subclasses (sampling,
-        kernel, QII and conditional SHAP) serve the whole batch from one
-        shared :class:`repro.games.plan.CoalitionPlan` — see
-        :meth:`PlanExplainer._try_amortized`; every other explainer
-        runs the per-row loop (``amortized=False`` on the batch span).
+        Amortization: subclasses with a fused path (the
+        :class:`PlanExplainer` families on a shared
+        :class:`repro.games.plan.CoalitionPlan`, TreeSHAP on its
+        shared precompute) serve the valid rows of the batch from it —
+        see :meth:`_try_amortized`; every other explainer runs the
+        per-row loop (``amortized=False`` on the batch span).
         """
         try:
             X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -291,16 +314,100 @@ class AttributionExplainer(Explainer):
         errors = [err for __, err in outcomes if err is not None]
         return results, errors
 
-    def _try_amortized(self, X, backend_name, n_procs, kwargs):
-        """The fused batch path's hook: ``(results, errors)`` or ``None``.
+    def _invalid_rows(self, X: np.ndarray) -> list[BatchRowError]:
+        """One :class:`BatchRowError` per row ``explain`` would reject.
 
-        ``None`` runs the per-row loop. Only :class:`PlanExplainer`
-        has a fused path; the batch span records which one ran.
+        The same width/finiteness contract (and message) as
+        :func:`repro.robust.check_instance`, checked vectorized first so
+        a clean batch costs one ``isfinite`` pass (none when the class
+        ``accepts_nan``; a wrong width fails before finiteness is read).
         """
+        if X.shape[1] != self.n_features:
+            bad = range(X.shape[0])
+        elif self.accepts_nan:
+            return []
+        else:
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        errors = []
+        for i in bad:
+            try:
+                check_instance(X[i], self.n_features)
+            except InputValidationError as e:
+                errors.append(BatchRowError(index=int(i), error=e))
+        return errors
+
+    def _try_amortized(self, X, backend_name, n_procs, kwargs):
+        """Fuse the batch's valid rows into one shared context.
+
+        Returns ``(results, errors)``, or ``None`` to run the per-row
+        loop when :meth:`_can_fuse` says no. Rows that fail input
+        validation become ``BatchRowError(InputValidationError)``
+        records up front — they never reach (or spoil) the fused call. A
+        failure inside the fused call counts a
+        ``coalition.plan.fallbacks`` and falls back to the loop, which
+        isolates the failing rows. The batch span's ``amortized``
+        attribute records which path ran.
+        """
+        outcome = None
+        if self._can_fuse(kwargs):
+            errors = self._invalid_rows(X)
+            bad = {e.index for e in errors}
+            valid = [i for i in range(X.shape[0]) if i not in bad]
+            results = [None] * X.shape[0]
+            try:
+                if valid:
+                    fused = self._run_amortized(
+                        X[valid], backend_name, n_procs, **kwargs
+                    )
+                    for i, attribution in zip(valid, fused):
+                        results[i] = attribution
+                outcome = (results, errors)
+            except Exception:
+                metrics.counter(_PLAN_FALLBACKS).inc()
         sp = current_span()
         if sp is not None:
-            sp.set_attr("amortized", False)
-        return None
+            sp.set_attr("amortized", outcome is not None)
+        return outcome
+
+    def _can_fuse(self, kwargs) -> bool:
+        """Whether this batch takes the fused path: the class has one,
+        and no ``explain`` kwargs beyond ``feature_names`` are passed."""
+        return (hasattr(self, "_amortized_rows")
+                and set(kwargs) <= {"feature_names"})
+
+    def _run_amortized(self, X, backend_name, n_procs, **kwargs):
+        """Fused batch execution: one context, row-sharded evaluation.
+
+        ``_amortized_context`` builds everything row-independent (the
+        coalition plan, the tree precompute) parent-side exactly once;
+        ``_amortized_rows`` then evaluates a contiguous row range
+        against it. On the process backend the context ships to forked
+        workers via copy-on-write memory — once per worker, not per
+        shard — and the thread backend shares it in-process.
+        """
+        ctx = self._amortized_context(X, **kwargs)
+        n_rows = X.shape[0]
+        workers = 1 if backend_name == "serial" else resolve_n_procs(n_procs)
+        if workers < 2:
+            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
+        plan = plan_shards(n_rows, workers)
+        if plan.n_shards < 2:
+            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
+
+        def run_shard(bounds):
+            lo, hi = bounds
+            return self._amortized_rows(X, lo, hi, ctx, **kwargs)
+
+        outcomes = map_shards(
+            run_shard, list(plan.slices), backend=backend_name,
+            n_procs=workers, split_scope=False,
+        )
+        results = []
+        for outcome in outcomes:
+            if not outcome.ok:
+                raise outcome.error
+            results.extend(outcome.value)
+        return results
 
     def _run_batch_process(self, X, run_row, n_procs, backend="process"):
         """Row-sharded ``explain_batch`` over worker processes.
@@ -365,19 +472,13 @@ class PlanExplainer(AttributionExplainer):
     ``explain(x)`` is a batch of one on that path; ``explain_batch``
     fuses every valid row of the batch into it.
 
-    Subclasses provide:
-
-    * ``n_features`` — the width every explained instance must have;
-    * ``_amortized_context(X, feature_names=None)`` — the row-independent
-      context (the plan, through :func:`repro.games.plan.shared_plan`,
-      plus anything precomputed once per batch), built parent-side;
-    * ``_amortized_rows(X, lo, hi, ctx, feature_names=None)`` — the
-      attributions of rows ``[lo, hi)``. Under a guard budget (one row
-      at a time, see :func:`_budgets_configured`) it returns the partial
-      estimate :func:`repro.games.plan.plan_values` allows.
+    Subclasses provide the fused-path hooks of
+    :class:`AttributionExplainer`: ``_amortized_context`` builds the
+    plan through :func:`repro.games.plan.shared_plan`, and under a
+    guard budget (one row at a time, see :func:`_budgets_configured`)
+    ``_amortized_rows`` returns the partial estimate
+    :func:`repro.games.plan.plan_values` allows.
     """
-
-    n_features: int
 
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
@@ -387,93 +488,9 @@ class PlanExplainer(AttributionExplainer):
         return self._amortized_rows(X, 0, 1, ctx,
                                     feature_names=feature_names)[0]
 
-    def _invalid_rows(self, X: np.ndarray) -> list[BatchRowError]:
-        """One :class:`BatchRowError` per row ``explain`` would reject.
-
-        The same width/finiteness contract (and message) as
-        :func:`repro.robust.check_instance`, checked vectorized first so
-        a clean batch costs one ``isfinite`` pass.
-        """
-        if X.shape[1] == self.n_features:
-            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-        else:
-            bad = range(X.shape[0])
-        errors = []
-        for i in bad:
-            try:
-                check_instance(X[i], self.n_features)
-            except InputValidationError as e:
-                errors.append(BatchRowError(index=int(i), error=e))
-        return errors
-
-    def _try_amortized(self, X, backend_name, n_procs, kwargs):
-        """Fuse the batch's valid rows onto one shared plan.
-
-        Rows that fail input validation become
-        ``BatchRowError(InputValidationError)`` records up front — they
-        never reach (or spoil) the fused call. The per-row loop runs
-        instead (``None``) when extra ``explain`` kwargs beyond
-        ``feature_names`` are passed, or when guard deadlines/query
-        budgets are configured (each row then gets its own scope, and
-        is a batch of one on the same path). A failure inside the fused
-        call counts a ``coalition.plan.fallbacks`` and falls back to the
-        loop, which isolates the failing rows. The batch span's
-        ``amortized`` attribute records which path ran.
-        """
-        outcome = None
-        if (
-            set(kwargs) <= {"feature_names"}
-            and not _budgets_configured(self.guard_config)
-        ):
-            errors = self._invalid_rows(X)
-            bad = {e.index for e in errors}
-            valid = [i for i in range(X.shape[0]) if i not in bad]
-            results = [None] * X.shape[0]
-            try:
-                if valid:
-                    fused = self._run_amortized(
-                        X[valid], backend_name, n_procs, **kwargs
-                    )
-                    for i, attribution in zip(valid, fused):
-                        results[i] = attribution
-                outcome = (results, errors)
-            except Exception:
-                metrics.counter(_PLAN_FALLBACKS).inc()
-        sp = current_span()
-        if sp is not None:
-            sp.set_attr("amortized", outcome is not None)
-        return outcome
-
-    def _run_amortized(self, X, backend_name, n_procs, **kwargs):
-        """Shared-plan batch execution: one context, row-sharded evaluation.
-
-        ``_amortized_context`` builds everything row-independent (the
-        coalition plan, precomputed structures) parent-side exactly
-        once; ``_amortized_rows`` then evaluates a contiguous row range
-        against it. On the process backend the context ships to forked
-        workers via copy-on-write memory — once per worker, not per
-        shard — and the thread backend shares it in-process.
-        """
-        ctx = self._amortized_context(X, **kwargs)
-        n_rows = X.shape[0]
-        workers = 1 if backend_name == "serial" else resolve_n_procs(n_procs)
-        if workers < 2:
-            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
-        plan = plan_shards(n_rows, workers)
-        if plan.n_shards < 2:
-            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
-
-        def run_shard(bounds):
-            lo, hi = bounds
-            return self._amortized_rows(X, lo, hi, ctx, **kwargs)
-
-        outcomes = map_shards(
-            run_shard, list(plan.slices), backend=backend_name,
-            n_procs=workers, split_scope=False,
-        )
-        results = []
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise outcome.error
-            results.extend(outcome.value)
-        return results
+    def _can_fuse(self, kwargs) -> bool:
+        """Not under a guard deadline or query budget: the plan spends
+        guarded model queries, so each row then gets its own scope
+        through the per-row loop (see :func:`_budgets_configured`)."""
+        return (super()._can_fuse(kwargs)
+                and not _budgets_configured(self.guard_config))

@@ -15,7 +15,6 @@ from .complaints import (
 from .index import (
     HashIndex,
     IntervalIndex,
-    LineageSupportIndex,
     ProvenanceDAG,
     RelationIndexes,
     SortIndex,
@@ -55,7 +54,6 @@ __all__ = [
     "SortIndex",
     "ProvenanceDAG",
     "IntervalIndex",
-    "LineageSupportIndex",
     "Query",
     "Predicate",
     "Eq",

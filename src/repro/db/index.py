@@ -57,7 +57,6 @@ __all__ = [
     "ProvenanceDAG",
     "IntervalIndex",
     "IntervalBlowupError",
-    "LineageSupportIndex",
     "legacy_descendants",
     "legacy_ancestors",
     "legacy_supports",
@@ -322,41 +321,6 @@ class ProvenanceDAG:
 
     def roots(self) -> list:
         return [n for n in self._order if not self._parents.get(n)]
-
-    @classmethod
-    def from_relation(cls, relation, prefix: str = "out") -> "ProvenanceDAG":
-        """Two-level forest: one node per output row over its lineage.
-
-        Annotations must carry base-tuple ids — the Why semiring
-        (witness sets) or the Lineage semiring (flat sets). Output row
-        ``i`` becomes node ``"<prefix>:i"``.
-        """
-        dag = cls()
-        for i, annotation in enumerate(relation.annotations):
-            dag.add_node(f"{prefix}:{i}", _lineage_ids(annotation))
-        return dag
-
-
-def _lineage_ids(annotation) -> list:
-    """Sorted base ids of a Why or Lineage annotation.
-
-    Pure why-provenance (every member a witness frozenset) flattens to
-    the union of witnesses; anything else keeps members as-is, matching
-    the naive tracer's ``set(annotation)`` membership semantics exactly
-    (mixed-semiring joins can interleave ids with witness sets).
-    """
-    if not annotation:
-        return []
-    members = list(annotation)
-    if members and all(isinstance(m, frozenset) for m in members):
-        flat: set = set()
-        for witness in members:
-            flat |= witness
-        members = list(flat)
-    try:
-        return sorted(members)
-    except TypeError:
-        return sorted(members, key=repr)
 
 
 class IntervalBlowupError(RuntimeError):
@@ -657,27 +621,6 @@ class IntervalIndex:
     def compact(self) -> None:
         """Rebuild from the (mutated) DAG, reclaiming tombstones."""
         self._build()
-
-
-class LineageSupportIndex:
-    """Interval index over one relation's output-to-base derivations.
-
-    The ``why_not`` tracer asks, per pipeline stage, "does base tuple i
-    still support some output?" — here that is a sorted-interval lookup
-    (:meth:`supports`) instead of unioning every annotation.
-    """
-
-    def __init__(self, relation, prefix: str = "out") -> None:
-        self._interval = IntervalIndex(
-            ProvenanceDAG.from_relation(relation, prefix=prefix)
-        )
-
-    def supports(self, base_id) -> list:
-        """Output node ids whose lineage contains ``base_id``."""
-        return self._interval.supports(base_id)
-
-    def alive(self, base_id) -> bool:
-        return bool(self._interval.supports(base_id))
 
 
 # -- naive oracles (kept forever for the differential tests / E45) -------------

@@ -10,14 +10,14 @@ tuples (those matching the user's description in the *input*) through
 each stage and reports where each was eliminated and why (filtered out,
 failed to join, projected away from the description).
 
-Since the index/planner PR the per-stage survival check is served by a
-:class:`repro.db.index.LineageSupportIndex`: each stage's output is
-interval-encoded once, and "does candidate i still support some output"
-becomes a sorted-interval lookup instead of unioning every output
-annotation. Candidate discovery goes through
+Candidate discovery goes through
 :func:`repro.db.planner.matching_indices`, so structured candidate
-predicates hit the relation's indexes. :func:`legacy_why_not` keeps the
-naive path as the differential-test oracle.
+predicates hit the relation's indexes. Per-stage survival is the union
+of the stage's lineage annotations, built once per stage: one pass over
+the output answers every candidate's membership question, which is
+cheaper than interval-encoding the stage to answer the same question.
+:func:`legacy_why_not` keeps the full-scan candidate discovery as the
+differential-test oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .index import LineageSupportIndex
 from .planner import matching_indices
 from .provenance import LineageSemiring
 from .relation import Relation
@@ -93,12 +92,12 @@ def _trace(
     results: dict[int, WhyNotResult] = {}
     for step in steps:
         nxt = step.apply(current)
-        # Interval-encode this stage's derivations once; per-candidate
-        # survival is then a sorted-interval lookup, not an O(outputs)
-        # union of annotations.
-        support = LineageSupportIndex(nxt)
+        surviving: set[int] = set()
+        for annotation in nxt.annotations:
+            if annotation:
+                surviving |= set(annotation)
         for i in candidates:
-            if alive[i] and not support.alive(i):
+            if alive[i] and i not in surviving:
                 alive[i] = False
                 results[i] = WhyNotResult(
                     candidate_index=i,
@@ -155,11 +154,11 @@ def legacy_why_not(
     steps: list[QueryStep],
     candidate_predicate: Callable[[dict], bool],
 ) -> list[WhyNotResult]:
-    """The pre-index tracer — the differential-test oracle.
+    """The pre-index candidate discovery — the differential-test oracle.
 
-    Candidate discovery scans every source row, and each stage's
-    survival set is the union of all output annotations (O(total
-    lineage) per stage). Must agree with :func:`why_not` exactly.
+    Candidates come from a scan of every source row instead of the
+    planner; the trace is shared. Must agree with :func:`why_not`
+    exactly.
     """
     candidates = [
         i for i, row in enumerate(source.rows)
@@ -167,32 +166,4 @@ def legacy_why_not(
     ]
     if not candidates:
         raise ValueError("no source tuple matches the candidate description")
-    current = _tracked(source)
-    alive: dict[int, bool] = {i: True for i in candidates}
-    results: dict[int, WhyNotResult] = {}
-    for step in steps:
-        nxt = step.apply(current)
-        surviving: set[int] = set()
-        for annotation in nxt.annotations:
-            if annotation:
-                surviving |= set(annotation)
-        for i in candidates:
-            if alive[i] and i not in surviving:
-                alive[i] = False
-                results[i] = WhyNotResult(
-                    candidate_index=i,
-                    candidate=source.rows[i],
-                    picky_step=step.name,
-                    detail=f"lineage lost at operator {step.name!r} "
-                           f"({len(current)} -> {len(nxt)} tuples)",
-                )
-        current = nxt
-    for i in candidates:
-        if alive[i]:
-            results[i] = WhyNotResult(
-                candidate_index=i,
-                candidate=source.rows[i],
-                picky_step=None,
-                detail="its lineage reaches the final result",
-            )
-    return [results[i] for i in candidates]
+    return _trace(source, steps, candidates)

@@ -18,8 +18,9 @@ it measurable. All stdlib-only:
     predict function: each call is attributed (calls *and* batched rows)
     to the active span and the global ``model.calls``/``model.rows``.
 ``instrument``
-    Class decorator that auto-spans ``explain``/``explain_batch``,
-    feeds the ``explain.wall_ms``/``explain_batch.wall_ms`` latency
+    The span half of the one wrapper ``Explainer`` puts around every
+    explainer's ``explain``/``explain_batch``: it spans the call, feeds
+    the ``explain.wall_ms``/``explain_batch.wall_ms`` latency
     histograms, and records every run into the ledger — zero per-module
     code.
 ``profile``
@@ -76,7 +77,6 @@ from .metrics import (
     reset_metrics,
     snapshot,
 )
-from .instrument import instrument_explainer
 from .ledger import RunLedger, get_ledger, params_hash, reset_ledger
 from .profile import (
     folded_from_jsonl,
@@ -128,7 +128,6 @@ __all__ = [
     "histogram_states",
     "histogram_deltas",
     "merge_histogram_deltas",
-    "instrument_explainer",
     "RunLedger",
     "get_ledger",
     "reset_ledger",

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.base import Explainer
 from ..core.dataset import TabularDataset
 from ..core.explanation import Predicate, RuleExplanation
-from ..obs import instrument_explainer
 from .bandit import KLLucb, kl_lower_bound
 
 __all__ = ["AnchorExplainer"]
 
 
-@instrument_explainer
-class AnchorExplainer:
+class AnchorExplainer(Explainer):
     """Greedy bandit-driven anchor search.
 
     Parameters
@@ -59,9 +58,7 @@ class AnchorExplainer:
         output: str = "auto",
         seed: int = 0,
     ) -> None:
-        from ..core.base import as_predict_fn
-
-        self.predict_fn = as_predict_fn(model, output)
+        super().__init__(model, output)
         self.data = data
         self.precision_target = precision_target
         self.n_bins = n_bins

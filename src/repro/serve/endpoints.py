@@ -215,24 +215,6 @@ class Endpoint:
             return explainer.explain(x)
         return explainer.explain(x, feature_names=list(self.feature_names))
 
-    def validate_instance(self, x) -> np.ndarray:
-        """Parse the request's instance into a (n_features,) float array."""
-        try:
-            arr = np.asarray(x, dtype=float)
-        except (TypeError, ValueError):
-            raise InputValidationError(
-                "instance must be a numeric array"
-            ) from None
-        arr = arr.ravel()
-        if arr.shape[0] != self.n_features:
-            raise InputValidationError(
-                f"instance has {arr.shape[0]} features; endpoint "
-                f"{self.name!r} expects {self.n_features}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InputValidationError("instance contains NaN or inf")
-        return arr
-
 
 class EndpointRegistry:
     """Thread-safe name → :class:`Endpoint` map for one server."""

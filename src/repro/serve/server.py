@@ -47,7 +47,7 @@ from ..obs.ledger import record_request
 from ..persist.errors import ArtifactNotFoundError
 from ..persist.registry import ArtifactRegistry, resolve_registry_dir
 from ..robust.errors import BudgetExceededError, InputValidationError
-from ..robust.guard import request_envelope
+from ..robust.guard import check_instance, request_envelope
 from .admission import AdmissionController
 from .breaker import CircuitBreaker
 from .cache import ExplanationCache
@@ -264,7 +264,8 @@ class ExplainServer:
         ctx["endpoint"] = endpoint.name
         if "instance" not in body:
             raise InputValidationError("request must carry an 'instance'")
-        x = endpoint.validate_instance(body["instance"])
+        x = check_instance(body["instance"], endpoint.n_features,
+                           name="instance")
         pinned = body.get("model_version")
         if pinned is not None:
             if not isinstance(pinned, str) or not pinned:

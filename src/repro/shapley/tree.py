@@ -35,7 +35,9 @@ accumulation. Since the kernel is elementwise per row, fused results are
 bitwise-identical across backends, batch splits and batch sizes; only
 the scalar-vs-fused comparison carries the ulp caveat. Single-row
 ``explain`` stays on the scalar kernel (numpy per-node overhead only
-amortizes across rows); ``explain_batch`` always uses the fused kernel.
+amortizes across rows); ``explain_batch`` uses the fused kernel through
+the shared fused-batch path of
+:class:`~repro.core.base.AttributionExplainer`.
 """
 
 from __future__ import annotations
@@ -45,10 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.base import AttributionExplainer
 from ..core.explanation import FeatureAttribution
-from ..exec import map_shards, plan_shards, resolve_backend, resolve_n_procs
-from ..obs import instrument_explainer
-from ..obs.trace import current_span
 from ..models.boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from ..models.forest import RandomForestClassifier
 from ..models.tree import (LEAF, DecisionTreeClassifier, DecisionTreeRegressor,
@@ -443,20 +443,66 @@ def tree_precompute(model, components, expected_value: float) -> TreePrecompute:
     return pre
 
 
-@instrument_explainer
-class TreeShapExplainer:
+def _decompose(model) -> list[tuple[TreeStructure, float, int | None]]:
+    """Flatten a tree model into ``(structure, weight, class_index)`` terms.
+
+    Per-tree Shapley values add (the game value functions add), so an
+    ensemble's values are the weighted sum over these terms — the
+    learning rate for boosting, ``1 / n_trees`` for forests.
+    """
+    if isinstance(model, (DecisionTreeRegressor,)):
+        return [(model.tree_, 1.0, None)]
+    if isinstance(model, DecisionTreeClassifier):
+        return [(model.tree_, 1.0, int(np.argmax(model.classes_)))]
+    if isinstance(model, RandomForestClassifier):
+        weight = 1.0 / len(model.estimators_)
+        out = []
+        for tree in model.estimators_:
+            # Positive class column within this tree's own class order.
+            pos = int(np.searchsorted(tree.classes_, model.classes_[-1]))
+            if tree.classes_[pos] != model.classes_[-1]:
+                raise ValueError("tree missing the ensemble's positive class")
+            out.append((tree.tree_, weight, pos))
+        return out
+    if isinstance(model, (GradientBoostingClassifier, GradientBoostingRegressor)):
+        return [
+            (stage.tree_, model.learning_rate, None)
+            for stage in model.estimators_
+        ]
+    raise TypeError(
+        f"TreeShapExplainer does not support {type(model).__name__}"
+    )
+
+
+def _model_output(model, X: np.ndarray) -> np.ndarray:
+    """The explained output per row: the raw score for boosting, the
+    prediction for regressors, the positive-class probability otherwise."""
+    if isinstance(model, GradientBoostingClassifier):
+        return np.asarray(model.decision_function(X), dtype=float)
+    if isinstance(model, (DecisionTreeRegressor, GradientBoostingRegressor)):
+        return np.asarray(model.predict(X), dtype=float)
+    return np.asarray(model.predict_proba(X)[:, -1], dtype=float)
+
+
+class TreeShapExplainer(AttributionExplainer):
     """Path-dependent TreeSHAP over any tree model in :mod:`repro.models`.
 
     For ensembles, per-tree Shapley values add (the game value functions
     add), so the explainer sums stage contributions — scaled by the
-    learning rate for boosting, averaged for forests.
+    learning rate for boosting, averaged for forests. ``explain_batch``
+    is the shared fused batch path of :class:`AttributionExplainer`,
+    with the model's :class:`TreePrecompute` as its context. Trees route
+    NaN, so rows are checked for width only (``accepts_nan``).
     """
 
     method_name = "tree_shap"
+    accepts_nan = True
 
     def __init__(self, model) -> None:
-        self.model = model
-        self._components = self._decompose(model)
+        super().__init__(model)
+        self._components = _decompose(model)
+        fitted = model.estimators_[0] if hasattr(model, "estimators_") else model
+        self.n_features = fitted.n_features_
         # Hoisted init-time precompute: the ensemble expected value used
         # to be recomputed by full recursion on every explain call.
         base = sum(
@@ -468,32 +514,6 @@ class TreeShapExplainer:
             base += model.init_raw_
         self._expected_value = float(base)
         self._precompute: TreePrecompute | None = None
-
-    @staticmethod
-    def _decompose(model) -> list[tuple[TreeStructure, float, int | None]]:
-        """Flatten a model into ``(structure, weight, class_index)`` terms."""
-        if isinstance(model, (DecisionTreeRegressor,)):
-            return [(model.tree_, 1.0, None)]
-        if isinstance(model, DecisionTreeClassifier):
-            return [(model.tree_, 1.0, int(np.argmax(model.classes_)))]
-        if isinstance(model, RandomForestClassifier):
-            weight = 1.0 / len(model.estimators_)
-            out = []
-            for tree in model.estimators_:
-                # Positive class column within this tree's own class order.
-                pos = int(np.searchsorted(tree.classes_, model.classes_[-1]))
-                if tree.classes_[pos] != model.classes_[-1]:
-                    raise ValueError("tree missing the ensemble's positive class")
-                out.append((tree.tree_, weight, pos))
-            return out
-        if isinstance(model, (GradientBoostingClassifier, GradientBoostingRegressor)):
-            return [
-                (stage.tree_, model.learning_rate, None)
-                for stage in model.estimators_
-            ]
-        raise TypeError(
-            f"TreeShapExplainer does not support {type(model).__name__}"
-        )
 
     @property
     def expected_value(self) -> float:
@@ -512,17 +532,6 @@ class TreeShapExplainer:
             )
         return self._precompute
 
-    def _model_output(self, x: np.ndarray) -> float:
-        return float(self._model_output_batch(x[None, :])[0])
-
-    def _model_output_batch(self, X: np.ndarray) -> np.ndarray:
-        if isinstance(self.model, GradientBoostingClassifier):
-            return np.asarray(self.model.decision_function(X), dtype=float)
-        if isinstance(self.model, (DecisionTreeRegressor,
-                                   GradientBoostingRegressor)):
-            return np.asarray(self.model.predict(X), dtype=float)
-        return np.asarray(self.model.predict_proba(X)[:, -1], dtype=float)
-
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
         """One instance through the scalar per-tree recursion.
@@ -536,7 +545,7 @@ class TreeShapExplainer:
         before the recursion indexes into it.
         """
         x = np.asarray(x, dtype=float).ravel()
-        prediction = self._model_output(x)
+        prediction = float(_model_output(self.model, x[None, :])[0])
         n = x.shape[0]
         phi = np.zeros(n)
         for tree, weight, class_index in self._components:
@@ -551,68 +560,40 @@ class TreeShapExplainer:
             meta={"n_trees": len(self._components)},
         )
 
-    def explain_batch(
-        self,
-        X: np.ndarray,
-        feature_names: list[str] | None = None,
-        backend: str | None = None,
-        n_procs: int | None = None,
-    ) -> list[FeatureAttribution]:
-        """Explain every row through one fused traversal per tree.
+    def _amortized_context(self, X: np.ndarray,
+                           feature_names: list[str] | None = None
+                           ) -> TreePrecompute:
+        return self.precompute()
 
-        The precompute is built (or fetched) once; each component tree
-        is then walked a single time with vectorized path state, so the
-        per-row marginal cost is the O(depth²) leaf bookkeeping rather
-        than a full recursion. ``backend="process"``/``"thread"``
-        shards contiguous row ranges — the precompute ships to forked
-        workers once via copy-on-write, not per shard. Results are
-        bitwise-identical across backends and batch splits (the kernel
-        is elementwise per row); against per-row ``explain`` they agree
-        to float accumulation order (the fused kernel visits children
+    def _amortized_rows(self, X: np.ndarray, lo: int, hi: int,
+                        pre: TreePrecompute,
+                        feature_names: list[str] | None = None
+                        ) -> list[FeatureAttribution]:
+        """Rows ``[lo, hi)`` through one fused traversal per tree.
+
+        Each component tree is walked once with vectorized path state,
+        so the per-row marginal cost is the O(depth²) leaf bookkeeping
+        rather than a full recursion. Results are bitwise-identical
+        across backends and batch splits (the kernel is elementwise per
+        row); against per-row ``explain`` they agree to float
+        accumulation order (the fused kernel visits children
         left-then-right, the scalar recursion hot-child-first).
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        sp = current_span()
-        if sp is not None:
-            sp.set_attr("amortized", True)
-        pre = self.precompute()
+        preds = _model_output(self.model, X[lo:hi])
+        phi = pre.shap_values(X[lo:hi])
         names = feature_names or [f"x{i}" for i in range(X.shape[1])]
         n_trees = len(self._components)
-
-        def run_rows(bounds):
-            lo, hi = bounds
-            # Predictions first: the model rejects a wrong-width batch.
-            preds = self._model_output_batch(X[lo:hi])
-            phi = pre.shap_values(X[lo:hi])
-            return [
-                FeatureAttribution(
-                    values=phi[r],
-                    feature_names=names,
-                    base_value=self._expected_value,
-                    prediction=float(preds[r]),
-                    method=self.method_name,
-                    meta={"n_trees": n_trees},
-                )
-                for r in range(hi - lo)
-            ]
-
-        backend_name = resolve_backend(backend)
-        n_rows = X.shape[0]
-        if backend_name == "serial" or n_rows < 2:
-            return run_rows((0, n_rows))
-        plan = plan_shards(n_rows, resolve_n_procs(n_procs))
-        if plan.n_shards < 2:
-            return run_rows((0, n_rows))
-        outcomes = map_shards(
-            run_rows, list(plan.slices), backend=backend_name,
-            n_procs=n_procs, split_scope=False,
-        )
-        results: list[FeatureAttribution] = []
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise outcome.error
-            results.extend(outcome.value)
-        return results
+        return [
+            FeatureAttribution(
+                values=phi[r],
+                feature_names=names,
+                base_value=self._expected_value,
+                prediction=float(preds[r]),
+                method=self.method_name,
+                meta={"n_trees": n_trees},
+            )
+            for r in range(hi - lo)
+        ]
 
     def value_function(self, x: np.ndarray):
         """The ensemble's EXPVALUE game as a batched coalition function.

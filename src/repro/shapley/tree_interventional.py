@@ -31,10 +31,11 @@ from math import factorial
 
 import numpy as np
 
+from ..core.base import AttributionExplainer
 from ..core.explanation import FeatureAttribution
-from ..obs import instrument_explainer
+from ..models.boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from ..models.tree import LEAF, TreeStructure
-from .tree import TreeShapExplainer, _leaf_scalar
+from .tree import _decompose, _leaf_scalar, _model_output
 
 __all__ = ["interventional_tree_shap", "InterventionalTreeShapExplainer"]
 
@@ -125,8 +126,7 @@ def interventional_tree_shap(
     return phi / n_background, base / n_background
 
 
-@instrument_explainer
-class InterventionalTreeShapExplainer:
+class InterventionalTreeShapExplainer(AttributionExplainer):
     """Background-based exact SHAP for any tree model in the library.
 
     Same ensemble decomposition as :class:`TreeShapExplainer`; the games
@@ -138,14 +138,14 @@ class InterventionalTreeShapExplainer:
 
     def __init__(self, model, background: np.ndarray,
                  max_background: int = 50, seed: int = 0) -> None:
+        super().__init__(model)
         background = np.atleast_2d(np.asarray(background, dtype=float))
         if background.shape[0] > max_background:
             rng = np.random.default_rng(seed)
             idx = rng.choice(background.shape[0], max_background, replace=False)
             background = background[idx]
         self.background = background
-        self._delegate = TreeShapExplainer(model)
-        self.model = model
+        self._components = _decompose(model)
 
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
@@ -153,17 +153,12 @@ class InterventionalTreeShapExplainer:
         n = x.shape[0]
         phi = np.zeros(n)
         base = 0.0
-        for tree, weight, class_index in self._delegate._components:
+        for tree, weight, class_index in self._components:
             tree_phi, tree_base = interventional_tree_shap(
                 tree, x, self.background, n, class_index
             )
             phi += weight * tree_phi
             base += weight * tree_base
-        from ..models.boosting import (
-            GradientBoostingClassifier,
-            GradientBoostingRegressor,
-        )
-
         if isinstance(self.model,
                       (GradientBoostingClassifier, GradientBoostingRegressor)):
             base += self.model.init_raw_
@@ -172,7 +167,7 @@ class InterventionalTreeShapExplainer:
             values=phi,
             feature_names=names,
             base_value=base,
-            prediction=self._delegate._model_output(x),
+            prediction=float(_model_output(self.model, x[None, :])[0]),
             method=self.method_name,
             meta={"n_background": self.background.shape[0]},
         )

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.base import Explainer
 from ..core.explanation import FeatureAttribution
-from ..obs import instrument_explainer, record_model_eval
+from ..obs import record_model_eval
 from .lime import forward_select, weighted_ridge
 
 __all__ = ["LimeTextExplainer"]
 
 
-@instrument_explainer
-class LimeTextExplainer:
+class LimeTextExplainer(Explainer):
     """Word-attribution LIME.
 
     Parameters
@@ -47,6 +47,8 @@ class LimeTextExplainer:
         alpha: float = 1.0,
         seed: int = 0,
     ) -> None:
+        # No super().__init__: the model consumes document lists, not
+        # feature rows, so it keeps its own predict function.
         self.predict_fn = predict_fn
         self.n_samples = n_samples
         self.kernel_width = kernel_width

@@ -40,6 +40,7 @@ from repro.robust import (
     BudgetExceededError,
     GuardConfig,
     InputValidationError,
+    PartialBatchError,
     guard_scope,
 )
 from repro.shapley import (
@@ -451,10 +452,42 @@ class TestTreeBatch:
         explainer = TreeShapExplainer(loan_gbm)
         with pytest.raises(InputValidationError, match=width):
             explainer.explain(x)
-        batch = np.zeros((0, d)) if kind == "empty" else np.stack([x, x])
-        with pytest.raises(InputValidationError,
-                           match="X has no rows" if kind == "empty" else width):
-            explainer.explain_batch(batch)
+        # The batch half follows the shared explain_batch contract: an
+        # empty batch is rejected whole, wrong-width rows fail per row.
+        if kind == "empty":
+            with pytest.raises(InputValidationError,
+                               match="needs a non-empty batch"):
+                explainer.explain_batch(np.zeros((0, d)))
+            return
+        with pytest.raises(PartialBatchError) as info:
+            explainer.explain_batch(np.stack([x, x]))
+        errors = info.value.errors
+        assert [e.index for e in errors] == [0, 1]
+        for e in errors:
+            assert isinstance(e.error, InputValidationError)
+            assert f"has {x.shape[0]} features, expected {d}" in str(e.error)
+
+    def test_shared_batch_contract(self, loan_split, loan_gbm):
+        Xtr, __, __, __ = loan_split
+        X = Xtr[:6].copy()
+        X[2, 1] = np.nan  # trees route NaN: explained, not rejected
+        explainer = TreeShapExplainer(loan_gbm)
+        results, errors = explainer.explain_batch(X, return_errors=True)
+        assert errors == []
+        scalar = explainer.explain(X[2])
+        assert np.allclose(results[2].values, scalar.values, atol=1e-9)
+        assert results[2].prediction == scalar.prediction
+        assert results[2].base_value == scalar.base_value
+        for backend in ("thread", "process"):
+            rerun = explainer.explain_batch(X, backend=backend, n_procs=2)
+            for a, b in zip(results, rerun):
+                assert np.array_equal(a.values, b.values)
+                assert a.base_value == b.base_value
+                assert a.prediction == b.prediction
+        results, errors = explainer.explain_batch(X[:, :-1],
+                                                  return_errors=True)
+        assert results == [None] * 6
+        assert [type(e.error) for e in errors] == [InputValidationError] * 6
 
     def test_precompute_shared_across_instances(self, loan_gbm):
         a = TreeShapExplainer(loan_gbm)

@@ -26,7 +26,7 @@ from repro.models import (
 )
 from repro.persist import dumps, loads, to_envelope
 from repro.robust.errors import InputValidationError
-from repro.shapley.tree import TreeShapExplainer, _TreeArrays
+from repro.shapley.tree import _decompose, _TreeArrays
 
 from tests.oracles.tree_walk import (
     loop_tree_arrays,
@@ -148,7 +148,7 @@ def test_treeshap_precompute_matches_per_node_loops(kind):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(80, 4))
     model = _fit(kind, X, rng.integers(0, 2, 80), 4, 0)
-    for tree, __, class_index in TreeShapExplainer._decompose(model):
+    for tree, __, class_index in _decompose(model):
         arrays = _TreeArrays(tree, class_index)
         value, frac = loop_tree_arrays(tree, class_index)
         assert np.array_equal(arrays.value, value)

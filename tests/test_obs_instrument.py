@@ -81,23 +81,35 @@ def test_instrumentation_disabled_is_transparent(loan_gbm, loan_data):
     assert obs.get_tracer().spans() == []
 
 
-def test_no_double_span_for_subclass_and_decorator():
-    # instrument_explainer must be idempotent even if applied twice.
-    from repro.obs.instrument import instrument_explainer
+def test_subclass_overriding_a_wrapped_explain_yields_one_span():
+    from repro.core.base import Explainer
 
-    class Fake:
-        method_name = "fake"
+    class Parent(Explainer):
+        method_name = "parent"
+
+        def __init__(self):
+            pass
 
         def explain(self, x):
             return x
 
-    wrapped_once = instrument_explainer(Fake)
-    first = wrapped_once.__dict__["explain"]
-    wrapped_twice = instrument_explainer(wrapped_once)
-    assert wrapped_twice.__dict__["explain"] is first
-    Fake().explain(np.zeros(3))
-    assert len([s for s in obs.get_tracer().spans()
-                if s.name == "explain"]) == 1
+    class Override(Parent):
+        method_name = "override"
+
+        def explain(self, x):
+            return -x
+
+    class Rebound(Parent):
+        explain = Parent.explain
+
+    # A re-bound wrapped method is not wrapped a second time.
+    assert Rebound.__dict__["explain"] is Parent.__dict__["explain"]
+    for cls in (Override, Rebound):
+        obs.get_tracer().reset()
+        cls().explain(np.zeros(3))
+        spans = [s for s in obs.get_tracer().spans() if s.name == "explain"]
+        assert len(spans) == 1
+        assert spans[0].attrs["explainer"] == cls.method_name
 
 
 def test_summary_table_lists_explainers(loan_gbm, loan_data):

@@ -275,6 +275,29 @@ def test_query_budget_enforced_in_scope():
     assert excinfo.value.budget == 5
 
 
+@pytest.mark.parametrize("family", ["anchors", "causal_shapley"])
+def test_env_query_budget_binds_every_explainer(family, monkeypatch,
+                                                loan_gbm, loan_data,
+                                                loan_scm):
+    # Every explainer opens a guard scope per explanation, so the env
+    # budget binds for rule and causal explainers as for sampling ones.
+    from repro.causal import CausalShapleyExplainer
+    from repro.rules import AnchorExplainer
+
+    monkeypatch.setenv("REPRO_QUERY_BUDGET", "50")
+    if family == "anchors":
+        explainer = AnchorExplainer(loan_gbm, loan_data,
+                                    precision_target=0.8, seed=0)
+    else:
+        explainer = CausalShapleyExplainer(
+            loan_gbm, loan_scm, loan_data.feature_names,
+            n_permutations=2, n_samples=100, seed=0,
+        )
+    with pytest.raises(BudgetExceededError) as excinfo:
+        explainer.explain(loan_data.X[0])
+    assert excinfo.value.kind == "queries"
+
+
 def test_deadline_enforced_in_scope():
     fn = as_predict_fn(linear_model)
     with guard_scope(GuardConfig(deadline_s=1e-9)):

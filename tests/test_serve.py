@@ -302,6 +302,22 @@ def test_ladder_uses_compute_p95_as_trailing_pressure():
     assert tier == "surrogate"
 
 
+@pytest.mark.parametrize("instance", [
+    [0.0, 1.0, float("nan"), 3.0, 4.0],
+    [0.0, 1.0, 2.0],
+    [],
+    ["a", "b", "c", "d", "e"],
+], ids=["nan", "wrong_width", "empty", "non_numeric"])
+def test_bad_instance_is_a_typed_400(instance):
+    model = StubModel()
+    server = _server(model)
+    status, resp, __ = server.handle_explain(_body(instance))
+    assert status == 400
+    assert resp["error"]["type"] == "InputValidationError"
+    assert "instance" in resp["error"]["message"]
+    assert model.calls == 0
+
+
 def test_wide_endpoint_never_offers_exact():
     server = ExplainServer(ServeConfig(ladder_enabled=False))
     server.add_endpoint("wide", StubModel(), _background(n_features=20))

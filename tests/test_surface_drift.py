@@ -7,6 +7,9 @@
 * Naive reference implementations live in ``tests/oracles/``, not in
   the package: no ``legacy_*`` name is importable from ``repro`` except
   the db oracles the provenance benchmark workload checks against.
+* Every public explainer derives from ``Explainer``, so the base
+  class's one wrapper (guard scope + span) covers all of them, and
+  ``repro.obs`` exports no second instrumentation path.
 """
 
 from __future__ import annotations
@@ -86,3 +89,51 @@ def _legacy_names() -> set[str]:
 
 def test_only_allow_listed_legacy_names_ship():
     assert sorted(_legacy_names() - LEGACY_ALLOWED) == []
+
+
+def _public_explainer_classes() -> dict[str, type]:
+    """Every public ``*Explainer`` class in a repro subpackage that
+    defines ``explain``, by qualified name."""
+    found: dict[str, type] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (
+                inspect.isclass(obj)
+                and name.endswith("Explainer")
+                and not name.startswith("_")
+                and obj.__module__.startswith("repro.")
+                and hasattr(obj, "explain")
+            ):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_every_public_explainer_derives_from_explainer():
+    from repro.core.base import Explainer
+
+    classes = _public_explainer_classes()
+    # The formerly decorated classes are among those found.
+    assert {
+        "repro.rules.anchors.AnchorExplainer",
+        "repro.shapley.tree.TreeShapExplainer",
+        "repro.shapley.tree_interventional.InterventionalTreeShapExplainer",
+        "repro.causal.causal_shapley.CausalShapleyExplainer",
+        "repro.causal.asymmetric.AsymmetricShapleyExplainer",
+        "repro.causal.shapley_flow.ShapleyFlowExplainer",
+        "repro.surrogate.lime_text.LimeTextExplainer",
+    } <= set(classes)
+    outside = sorted(
+        name for name, cls in classes.items()
+        if not issubclass(cls, Explainer)
+    )
+    assert outside == []
+
+
+def test_obs_exports_no_second_instrumentation_path():
+    import repro.obs
+
+    assert "instrument_explainer" not in repro.obs.__all__
+    assert not hasattr(repro.obs, "instrument_explainer")
