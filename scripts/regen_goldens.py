@@ -167,6 +167,48 @@ def view_lime(attr) -> dict:
     }
 
 
+def case_tree_shap(backend: str | None = None):
+    # Path-dependent and interventional TreeSHAP on every tree model
+    # family, with a NaN row (routes right, as in predict) and a ±inf
+    # row; one flat key per (model, variant, field).
+    from repro.datasets import make_classification
+    from repro.models import (DecisionTreeClassifier,
+                              GradientBoostingClassifier,
+                              GradientBoostingRegressor,
+                              RandomForestClassifier)
+    from repro.shapley import (InterventionalTreeShapExplainer,
+                               TreeShapExplainer)
+
+    data = make_classification(120, n_features=5, n_informative=3, seed=21)
+    X, y = data.X, data.y
+    models = {
+        "dt": DecisionTreeClassifier(max_depth=5, seed=0).fit(X, y),
+        "gbm": GradientBoostingClassifier(n_estimators=8, max_depth=3,
+                                          seed=0).fit(X, y),
+        "gbm_reg": GradientBoostingRegressor(n_estimators=8, max_depth=3,
+                                             seed=0).fit(X, X[:, 0] + y),
+        "rf": RandomForestClassifier(n_estimators=6, max_depth=4,
+                                     seed=0).fit(X, y),
+    }
+    rows = X[60:64].copy()
+    rows[1, 0] = np.nan
+    rows[2, 1] = np.inf
+    rows[2, 3] = -np.inf
+    out = {}
+    for name, model in models.items():
+        for variant, explainer in (
+            ("path", TreeShapExplainer(model)),
+            ("interventional",
+             InterventionalTreeShapExplainer(model, X[:20])),
+        ):
+            atts = explainer.explain_batch(rows, backend=backend, n_procs=2)
+            key = f"{name}/{variant}"
+            out[f"{key}/values"] = [a.values.tolist() for a in atts]
+            out[f"{key}/base_value"] = [float(a.base_value) for a in atts]
+            out[f"{key}/prediction"] = [float(a.prediction) for a in atts]
+    return out
+
+
 def case_db_plans(backend: str | None = None):
     # The planner never touches the coalition estimators, so the backend
     # knob must be a no-op; the golden freezes the explain_plan() text of
@@ -225,6 +267,7 @@ CASES = {
     "causal_shapley": case_causal_shapley,
     "lime": case_lime,
     "db_plans": case_db_plans,
+    "tree_shap": case_tree_shap,
 }
 
 # Numeric projection compared at 1e-12; identity for plain-dict cases.
