@@ -14,11 +14,8 @@ from .global_agg import (
 from .kernel import KernelShapExplainer, kernel_shap, shapley_kernel_weight
 from .qii import QIIExplainer, set_qii, shapley_qii, unary_qii
 from .sampling import SamplingShapleyExplainer, permutation_shapley
-from .tree import TreeShapExplainer, tree_expected_value, tree_shap_values
-from .tree_interventional import (
-    InterventionalTreeShapExplainer,
-    interventional_tree_shap,
-)
+from .tree import TreeShapExplainer, tree_expected_value
+from .tree_interventional import InterventionalTreeShapExplainer
 
 __all__ = [
     "ConditionalShapExplainer",
@@ -33,11 +30,9 @@ __all__ = [
     "kernel_shap",
     "shapley_kernel_weight",
     "KernelShapExplainer",
-    "tree_shap_values",
     "tree_expected_value",
     "TreeShapExplainer",
     "InterventionalTreeShapExplainer",
-    "interventional_tree_shap",
     "unary_qii",
     "set_qii",
     "shapley_qii",

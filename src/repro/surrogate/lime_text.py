@@ -15,6 +15,7 @@ import numpy as np
 from ..core.base import Explainer
 from ..core.explanation import FeatureAttribution
 from ..obs import record_model_eval
+from ..robust.guard import guard_predict_fn
 from .lime import forward_select, weighted_ridge
 
 __all__ = ["LimeTextExplainer"]
@@ -48,8 +49,9 @@ class LimeTextExplainer(Explainer):
         seed: int = 0,
     ) -> None:
         # No super().__init__: the model consumes document lists, not
-        # feature rows, so it keeps its own predict function.
-        self.predict_fn = predict_fn
+        # feature rows, so it keeps its own predict function — guarded
+        # like every other, so per-explanation budgets bind.
+        self.predict_fn = guard_predict_fn(predict_fn)
         self.n_samples = n_samples
         self.kernel_width = kernel_width
         self.n_select = n_select

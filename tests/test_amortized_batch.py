@@ -2,8 +2,9 @@
 
 The sampling, kernel, QII and conditional SHAP explainers have one
 evaluation path: a shared :class:`~repro.games.plan.CoalitionPlan`,
-with ``explain(x)`` a batch of one on it (TreeSHAP keeps its own cached
-:class:`~repro.shapley.tree.TreePrecompute`). The contract under test —
+with ``explain(x)`` a batch of one on it (TreeSHAP's context is its
+cached leaf-path table, :class:`~repro.shapley.tree.TreePrecompute`).
+The contract under test —
 
 * ``explain(x)`` is **bitwise** the per-walk oracle
   (``tests/oracles/coalition_walk.py``: ``permutation_shapley`` over the
@@ -18,9 +19,9 @@ with ``explain(x)`` a batch of one on it (TreeSHAP keeps its own cached
   Kernel SHAP raises when its design does not fit;
 * ``explain_batch`` validates rows before fusing: bad rows become
   ``BatchRowError(InputValidationError)`` without a fallback;
-* the fused TreeSHAP kernel is bitwise stable across backends and batch
-  splits, and agrees with the scalar recursion to float accumulation
-  order;
+* the TreeSHAP kernel is bitwise stable across backends and batch
+  splits, ``explain(x)`` is bitwise its row of ``explain_batch``, and
+  both agree with the scalar recursion oracle to 1e-12;
 * guard budgets give every row its own scope, and a mid-fuse failure
   degrades to the per-row loop while counting
   ``coalition.plan.fallbacks``;
@@ -41,7 +42,6 @@ from repro.robust import (
     GuardConfig,
     InputValidationError,
     PartialBatchError,
-    guard_scope,
 )
 from repro.shapley import (
     ConditionalShapExplainer,
@@ -51,6 +51,7 @@ from repro.shapley import (
     TreeShapExplainer,
 )
 from tests.oracles.coalition_walk import ORACLES
+from tests.oracles.tree_walk import tree_shap_explain
 
 BACKENDS = ("serial", "thread", "process")
 FAMILIES = ("sampling", "kernel", "qii", "conditional")
@@ -435,11 +436,14 @@ class TestTreeBatch:
         explainer = TreeShapExplainer(loan_gbm)
         batch = explainer.explain_batch(X)
         for x, att in zip(X, batch):
-            scalar = explainer.explain(x)
-            # Different child-visit order: equal to accumulation order,
-            # not necessarily to the last ulp.
-            assert np.allclose(att.values, scalar.values, atol=1e-9)
-            assert att.base_value == scalar.base_value
+            # explain(x) is a batch of one on the same kernel.
+            single = explainer.explain(x)
+            assert np.array_equal(att.values, single.values)
+            assert att.base_value == single.base_value
+            # The scalar recursion sums in another order: equal to 1e-12.
+            phi, base = tree_shap_explain(loan_gbm, x)
+            assert np.abs(att.values - phi).max() <= 1e-12
+            assert abs(att.base_value - base) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["short", "wide", "empty"])
     def test_bad_width_raises_the_model_error(self, kind, loan_split,
@@ -448,7 +452,10 @@ class TestTreeBatch:
         d = Xtr.shape[1]
         x = {"short": Xtr[0, :2], "wide": np.append(Xtr[0], 1.0),
              "empty": Xtr[0, :0]}[kind]
-        width = f"X has {x.shape[0]} features, but the model was fitted on {d}"
+        # explain(x) is a batch of one: the shared row check rejects the
+        # row before the model or the kernel sees it.
+        width = ("x is empty" if kind == "empty"
+                 else f"x has {x.shape[0]} features, expected {d}")
         explainer = TreeShapExplainer(loan_gbm)
         with pytest.raises(InputValidationError, match=width):
             explainer.explain(x)
@@ -474,10 +481,10 @@ class TestTreeBatch:
         explainer = TreeShapExplainer(loan_gbm)
         results, errors = explainer.explain_batch(X, return_errors=True)
         assert errors == []
-        scalar = explainer.explain(X[2])
-        assert np.allclose(results[2].values, scalar.values, atol=1e-9)
-        assert results[2].prediction == scalar.prediction
-        assert results[2].base_value == scalar.base_value
+        single = explainer.explain(X[2])
+        assert np.array_equal(results[2].values, single.values)
+        assert results[2].prediction == single.prediction
+        assert results[2].base_value == single.base_value
         for backend in ("thread", "process"):
             rerun = explainer.explain_batch(X, backend=backend, n_procs=2)
             for a, b in zip(results, rerun):

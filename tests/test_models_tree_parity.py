@@ -9,6 +9,13 @@ whose bootstrap draws miss a class) and over adversarial inputs: values
 exactly on split thresholds, NaN (routes right) and ±inf. Persist and
 io JSON round trips must predict the same bits, and every tree model
 enforces the fitted input width with a typed error.
+
+Both TreeSHAP explainers run one kernel over a leaf-path table. They
+are held to the per-row recursions in the same oracle module at 1e-12
+(the kernel sums in another order), over the same random models and
+adversarial rows; ``explain(x)`` must equal its row of ``explain_batch``
+bit for bit, and rows must not change bits across backends, batch splits
+or kernel chunking.
 """
 
 import numpy as np
@@ -26,10 +33,15 @@ from repro.models import (
 )
 from repro.persist import dumps, loads, to_envelope
 from repro.robust.errors import InputValidationError
-from repro.shapley.tree import _decompose, _TreeArrays
+from repro.shapley import (InterventionalTreeShapExplainer, TreeShapExplainer,
+                           tree_expected_value)
+from repro.shapley import tree as tree_module
+from repro.shapley.tree import _decompose
 
 from tests.oracles.tree_walk import (
-    loop_tree_arrays,
+    interventional_explain,
+    loop_path_table,
+    tree_shap_explain,
     walk_apply,
     walk_forest_proba,
     walk_gbm_raw,
@@ -148,11 +160,105 @@ def test_treeshap_precompute_matches_per_node_loops(kind):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(80, 4))
     model = _fit(kind, X, rng.integers(0, 2, 80), 4, 0)
-    for tree, __, class_index in _decompose(model):
-        arrays = _TreeArrays(tree, class_index)
-        value, frac = loop_tree_arrays(tree, class_index)
-        assert np.array_equal(arrays.value, value)
-        assert np.array_equal(arrays.frac, frac)
+    pre = TreeShapExplainer(model).precompute()
+    expected = [path for tree, weight, class_index in _decompose(model)
+                for path in loop_path_table(tree, weight, class_index)]
+    assert pre.value.tolist() == [value for value, __ in expected]
+    for p, (__, zeros) in enumerate(expected):
+        real = pre.feature[p] < 4
+        assert dict(zip(pre.feature[p][real].tolist(),
+                        pre.zero[p][real].tolist())) == zeros
+        assert np.all(pre.zero[p][~real] == 1.0)  # null elements
+    assert abs(pre.expected_value - sum(
+        weight * tree_expected_value(tree, X[0], np.zeros(4, bool), ci)
+        for tree, weight, ci in _decompose(model)
+    ) - getattr(model, "init_raw_", 0.0)) <= 1e-12
+
+
+def _assert_treeshap_matches_oracles(model, Q, background):
+    path = TreeShapExplainer(model)
+    interventional = InterventionalTreeShapExplainer(model, background)
+    for explainer, oracle in (
+        (path, tree_shap_explain),
+        (interventional,
+         lambda m, q: interventional_explain(m, q, background)),
+    ):
+        batch = explainer.explain_batch(Q)
+        for q, att in zip(Q, batch):
+            phi, base = oracle(model, q)
+            assert np.abs(att.values - phi).max(initial=0.0) <= 1e-12
+            assert abs(att.base_value - base) <= 1e-12
+            single = explainer.explain(q)
+            assert np.array_equal(single.values, att.values)
+            assert single.base_value == att.base_value
+            assert single.prediction == att.prediction
+
+
+@given(
+    kind=st.sampled_from(KINDS),
+    depth=st.integers(0, 8),
+    n_rows=st.integers(6, 40),
+    n_features=st.integers(1, 5),
+    integer_features=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_treeshap_matches_scalar_oracles(
+    kind, depth, n_rows, n_features, integer_features, seed
+):
+    # Both TreeSHAP explainers against the per-row recursions, on
+    # training, on-threshold, NaN and ±inf rows; one feature (or ties)
+    # forces repeated features on a path.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_rows, n_features))
+    if integer_features:
+        X = np.round(X * 2)
+    y = rng.integers(0, 2, n_rows)
+    y[:2] = [0, 1]
+    model = _fit(kind, X, y, depth, seed)
+    Q = _queries(model, X, rng)
+    Q = Q[rng.choice(Q.shape[0], 8, replace=False)]
+    _assert_treeshap_matches_oracles(model, Q, X[:5])
+
+
+def test_treeshap_single_leaf_and_repeated_feature():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 2))
+    Q = np.array([[np.nan, 0.0], [np.inf, -np.inf], [0.3, 0.1]])
+    stump = DecisionTreeRegressor().fit(X, np.full(40, 2.5))
+    att = TreeShapExplainer(stump).explain_batch(Q)
+    assert all(np.array_equal(a.values, [0.0, 0.0]) for a in att)
+    assert all(a.base_value == 2.5 for a in att)
+    _assert_treeshap_matches_oracles(stump, Q, X[:4])
+    # One feature, split again and again down every path: one element.
+    X1 = X[:, :1]
+    deep = DecisionTreeRegressor(max_depth=6).fit(X1, np.sin(3 * X1[:, 0]))
+    assert TreeShapExplainer(deep).precompute().zero.shape[1] == 2
+    Q = np.vstack([Q[:, :1], X1[:5], deep.tree_.threshold[:3, None]])
+    _assert_treeshap_matches_oracles(deep, Q, X1[:4])
+
+
+@pytest.mark.parametrize("kind", ["gbm_clf", "forest"])
+def test_treeshap_rows_bitwise_across_backends_and_splits(kind, monkeypatch):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 4))
+    model = _fit(kind, X, rng.integers(0, 2, 60), 4, 0)
+    Q = X[:12].copy()
+    Q[3, 1] = np.nan
+    Q[5, 2] = np.inf
+    for explainer in (TreeShapExplainer(model),
+                      InterventionalTreeShapExplainer(model, X[20:30])):
+        serial = np.stack([a.values for a in explainer.explain_batch(Q)])
+        for backend in ("thread", "process"):
+            rerun = explainer.explain_batch(Q, backend=backend, n_procs=2)
+            assert np.array_equal(serial, np.stack([a.values for a in rerun]))
+        split = explainer.explain_batch(Q[:5]) + explainer.explain_batch(Q[5:])
+        assert np.array_equal(serial, np.stack([a.values for a in split]))
+        # Kernel chunks of one row each: the same bits again.
+        monkeypatch.setattr(tree_module, "CHUNK_ELEMENTS", 1)
+        chunked = explainer.explain_batch(Q)
+        monkeypatch.undo()
+        assert np.array_equal(serial, np.stack([a.values for a in chunked]))
 
 
 def test_structure_is_read_only_and_value_freezes_after_newton():

@@ -19,7 +19,6 @@ from repro.shapley import (
     TreeShapExplainer,
     exact_shapley,
     kernel_shap,
-    tree_shap_values,
 )
 
 
@@ -33,10 +32,11 @@ def test_treeshap_equals_bruteforce_on_random_trees(seed, depth, n_features):
     tree = DecisionTreeRegressor(max_depth=depth, min_samples_leaf=5)
     tree.fit(X, y)
     explainer = TreeShapExplainer(tree)
-    x = X[int(rng.integers(0, 150))]
-    fast = explainer.explain(x).values
-    reference = exact_shapley(explainer.value_function(x), n_features)
-    assert np.allclose(fast, reference, atol=1e-9)
+    rows = X[rng.integers(0, 150, 2)]
+    for x, att in zip(rows, explainer.explain_batch(rows)):
+        reference = exact_shapley(explainer.value_function(x), n_features)
+        assert np.allclose(att.values, reference, atol=1e-9)
+        assert np.array_equal(explainer.explain(x).values, att.values)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 7))
